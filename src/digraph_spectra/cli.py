@@ -51,10 +51,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _parse_n_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        value = int(text)
-        return (value, value)
-    return (int(lo), int(hi))
+    bounds = (int(lo), int(hi)) if sep else (int(text), int(text))
+    if bounds[0] < 1 or bounds[0] > bounds[1]:
+        raise ValueError(f"--n range must satisfy 1 <= lo <= hi, got {text!r}")
+    return bounds
 
 
 def _spec_from_args(args) -> FamilySpec:

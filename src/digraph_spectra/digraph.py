@@ -22,6 +22,10 @@ class IndexOutOfRange(ValueError):
     """An arc endpoint lies outside 1..n."""
 
 
+class NotAnInteger(ValueError):
+    """The vertex count or an arc component is not an int (bools excluded)."""
+
+
 class ParallelNonLoopArc(ValueError):
     """A non-loop arc was given more than once or with multiplicity > 1."""
 
@@ -84,18 +88,17 @@ def build_digraph(n: int, arcs) -> Digraph:
     by summing multiplicities; a repeated non-loop arc, or a non-loop
     arc with multiplicity > 1, is rejected.
     """
+    _require_int(n, "vertex count")
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     merged: dict[tuple[int, int], int] = {}
     seen_nonloop: set[tuple[int, int]] = set()
     for entry in arcs:
-        if len(entry) == 2:
-            i, j = entry
-            m = 1
-        elif len(entry) == 3:
-            i, j, m = entry
-        else:
+        if not isinstance(entry, (tuple, list)) or len(entry) not in (2, 3):
             raise ValueError(f"arc entries must be (i, j) or (i, j, mult), got {entry!r}")
+        i, j, m = entry if len(entry) == 3 else (*entry, 1)
+        for value in (i, j, m):
+            _require_int(value, f"arc {entry!r} component")
         if not (1 <= i <= n and 1 <= j <= n):
             raise IndexOutOfRange(f"arc ({i}, {j}) outside vertex range 1..{n}")
         if m < 1:
@@ -109,6 +112,11 @@ def build_digraph(n: int, arcs) -> Digraph:
             merged[(i, j)] = 1
     triples = tuple(sorted((i, j, m) for (i, j), m in merged.items()))
     return Digraph(n=n, arcs=triples)
+
+
+def _require_int(value, what: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise NotAnInteger(f"{what} must be an integer, got {value!r}")
 
 
 def complement(d: Digraph) -> Digraph:
@@ -191,8 +199,10 @@ class WalkCountMatrix:
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    bt = list(zip(*b))
+    # Columns as lists, not zip(*b) tuples: CPython 3.11 keeps freed
+    # 20-tuples on a free list it never allocates from, so products at
+    # n = 20 would hold memory until a full garbage collection.
+    bt = [[row[j] for row in b] for j in range(len(b))]
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
@@ -212,7 +222,10 @@ def walk_count(d: Digraph, k: int) -> WalkCountMatrix:
             result = mat_mul(result, base)
         base = mat_mul(base, base) if e > 1 else base
         e >>= 1
-    return WalkCountMatrix(power=k, entries=tuple(tuple(row) for row in result))
+    # tuple() of a list, not of a generator: a generator's tuple is built
+    # by resizing, which leaves memory on free lists that only a full
+    # garbage collection empties.
+    return WalkCountMatrix(power=k, entries=tuple([tuple(row) for row in result]))
 
 
 # -- serialization ----------------------------------------------------
@@ -249,7 +262,9 @@ def to_json_dict(d: Digraph) -> dict:
 def from_json_dict(obj: dict) -> Digraph:
     if not isinstance(obj, dict) or "n" not in obj or "arcs" not in obj:
         raise ValueError("digraph JSON needs keys 'n' and 'arcs'")
-    return build_digraph(obj["n"], [tuple(a) for a in obj["arcs"]])
+    if not isinstance(obj["arcs"], list):
+        raise ValueError(f"digraph JSON 'arcs' must be a list, got {obj['arcs']!r}")
+    return build_digraph(obj["n"], obj["arcs"])
 
 
 def to_json(d: Digraph) -> str:

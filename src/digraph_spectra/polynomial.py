@@ -27,7 +27,6 @@ import itertools
 import math
 import re
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
@@ -141,7 +140,7 @@ class IntPolynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
+        return IntPolynomial([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "IntPolynomial":
         other = _coerce(other)
@@ -185,7 +184,7 @@ class IntPolynomial:
         return result
 
     def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return IntPolynomial([i * c for i, c in enumerate(self.coeffs) if i > 0])
 
     def __call__(self, point: int) -> int:
         acc = 0
@@ -213,30 +212,32 @@ class IntPolynomial:
         """Euclidean division with the constraint that the quotient and
         remainder are integral; raises InexactDivision otherwise.
 
-        For monic divisors this is ordinary exact long division; for a
-        primitive non-monic divisor it succeeds exactly when the divisor
-        splits off over Z.
+        Integer long division: each quotient coefficient must come out
+        of ``divmod`` by the leading coefficient with zero remainder,
+        else InexactDivision is raised at once.  The quotient over Q is
+        integral exactly when every such step is, and then so is the
+        remainder, so this is the rational division's verdict.  For
+        monic divisors it always succeeds; for a primitive non-monic
+        divisor it succeeds exactly when the divisor splits off over Z.
         """
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < divisor.degree:
             return IntPolynomial(), self
-        rem = [Fraction(c) for c in self.coeffs]
-        quo = [Fraction(0)] * (len(self.coeffs) - len(divisor.coeffs) + 1)
-        lead = Fraction(divisor.leading_coefficient)
+        rem = list(self.coeffs)
+        dcoeffs = divisor.coeffs
         ddeg = divisor.degree
+        lead = dcoeffs[-1]
+        quo = [0] * (len(rem) - ddeg)
         for i in range(len(quo) - 1, -1, -1):
-            coeff = rem[i + ddeg] / lead
+            coeff, r = divmod(rem[i + ddeg], lead)
+            if r:
+                raise InexactDivision(f"({self}) divrem ({divisor}) is not integral")
             quo[i] = coeff
             if coeff:
-                for j, dc in enumerate(divisor.coeffs):
-                    rem[i + j] -= coeff * dc
-        if any(c.denominator != 1 for c in quo) or any(c.denominator != 1 for c in rem):
-            raise InexactDivision(f"({self}) divrem ({divisor}) is not integral")
-        return (
-            IntPolynomial(int(c) for c in quo),
-            IntPolynomial(int(c) for c in rem[:ddeg]),
-        )
+                window = rem[i : i + ddeg + 1]
+                rem[i : i + ddeg + 1] = [x - coeff * dc for x, dc in zip(window, dcoeffs)]
+        return IntPolynomial(quo), IntPolynomial(rem[:ddeg])
 
     def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
         quo, rem = self.divrem(divisor)
@@ -575,7 +576,7 @@ def find_monic_factor(f: IntPolynomial, max_degree: int) -> IntPolynomial | None
         choice_lists = [_divisors_signed(v) for v in values]
         for combo in itertools.product(*choice_lists):
             # Interpolate h of degree < d with g = x^d + h matching combo.
-            targets = [Fraction(val - t**d) for t, val in zip(points, combo)]
+            targets = [val - t**d for t, val in zip(points, combo)]
             h = _lagrange(points, targets)
             if h is None:
                 continue
@@ -585,27 +586,36 @@ def find_monic_factor(f: IntPolynomial, max_degree: int) -> IntPolynomial | None
     return None
 
 
-def _lagrange(points: list[int], values: list[Fraction]) -> IntPolynomial | None:
+def _lagrange(points: list[int], values: list[int]) -> IntPolynomial | None:
     """Interpolating polynomial through (points, values) if it has
-    integer coefficients, else None."""
-    acc = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        if yi == 0:
-            continue
-        basis = [Fraction(1)]
-        denom = Fraction(1)
+    integer coefficients, else None.
+
+    Each Lagrange term is scaled to the common denominator D (the lcm of
+    the basis denominators), so D times the interpolant is summed in
+    integers and is integral after division exactly when D divides every
+    coefficient."""
+    terms = []
+    for i, xi in enumerate(points):
+        basis = [1]
+        denom = 1
         for j, xj in enumerate(points):
             if j == i:
                 continue
-            new = [Fraction(0)] * (len(basis) + 1)
+            new = [0] * (len(basis) + 1)
             for k, c in enumerate(basis):
-                new[k] += c * (-xj)
+                new[k] -= c * xj
                 new[k + 1] += c
             basis = new
             denom *= xi - xj
-        scale = yi / denom
+        terms.append((basis, denom))
+    common = math.lcm(*(abs(denom) for _, denom in terms))
+    acc = [0] * len(points)
+    for (basis, denom), yi in zip(terms, values):
+        if yi == 0:
+            continue
+        scale = yi * (common // denom)
         for k, c in enumerate(basis):
             acc[k] += c * scale
-    if any(c.denominator != 1 for c in acc):
+    if any(c % common for c in acc):
         return None
-    return IntPolynomial(int(c) for c in acc)
+    return IntPolynomial(c // common for c in acc)

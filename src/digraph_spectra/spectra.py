@@ -12,9 +12,11 @@ The two never share code, so their agreement is a real cross-check and
 is treated as a hard assertion by the verification pipeline.
 
 The minimal polynomial comes from the first linear dependence among the
-powers of the adjacency matrix, found by exact rational elimination; the
-coefficients are asserted integral.  A digraph is non-derogatory when
-the minimal polynomial has full degree n.
+powers of the adjacency matrix, found by elimination modulo the prime
+P = 2^61 - 1.  The coefficients are lifted to the symmetric range and
+certified over Z by checking m(A) = 0 exactly; only if that check fails
+does the search rerun with exact rationals.  A digraph is
+non-derogatory when the minimal polynomial has full degree n.
 
 :func:`triangular_certificate` searches for a sufficient witness: an
 ordered arc matching on n-1 rows and columns of xI - A whose staircase
@@ -27,8 +29,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
-from .digraph import Digraph, mat_mul
+from .digraph import Digraph, identity_matrix, mat_mul
 from .polynomial import IntPolynomial
 
 DEFAULT_ENUMERATION_CAP = 12
@@ -59,24 +62,39 @@ def resolve_enumeration_cap(cap: int | None = None) -> int:
 # -- route 1: trace recursion -----------------------------------------
 
 
+def _times_adjacency(d: Digraph, m: list[list[int]]) -> list[list[int]]:
+    """A M over Z, row i of the product being the multiplicity-weighted
+    sum of the rows of M that vertex i's arcs select: O(n * arcs)."""
+    out = []
+    for v in range(1, d.n + 1):
+        acc = [0] * d.n
+        for h, w in d.successors(v):
+            row = m[h - 1]
+            acc = list(map(add, acc, row)) if w == 1 else [x + w * y for x, y in zip(acc, row)]
+        out.append(acc)
+    return out
+
+
 def charpoly_exact(d: Digraph) -> IntPolynomial:
     """det(xI - A) via the trace recursion, exact over Z.
 
     Iterates M_0 = I, M_k = A M_(k-1) + c_(k-1) I with
     c_k = -trace(A M_(k-1)) / k; every division is exact for integer
-    matrices and is asserted.
+    matrices and is asserted.  Each product A M is formed from the
+    successor lists.
     """
     n = d.n
-    a = d.adjacency_matrix()
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    m = identity_matrix(n)
     coeffs = [1]  # leading coefficient of x^n
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
+        am = _times_adjacency(d, m)
         t = sum(am[i][i] for i in range(n))
         assert t % k == 0, "trace recursion produced a non-integer coefficient"
         ck = -t // k
         coeffs.append(ck)
-        m = [[am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            am[i][i] += ck
+        m = am
     return IntPolynomial(reversed(coeffs))
 
 
@@ -234,15 +252,70 @@ def charpoly_ldsg(d: Digraph, cap: int | None = None) -> IntPolynomial:
 # -- minimal polynomial -----------------------------------------------
 
 
+MINPOLY_PRIME = 2**61 - 1
+
+
 def minimal_polynomial(d: Digraph) -> IntPolynomial:
     """Monic generator of the dependencies among I, A, A^2, ...
 
-    Flattens each power into a vector and reduces against an echelon
-    basis with exact rationals, tracking each basis row's expression in
-    the power basis; the first vanishing reduction yields the minimal
-    polynomial.  Its coefficients are integral for integer matrices
-    (asserted, hard error otherwise).
+    Flattens each power into a vector and reduces it modulo
+    ``MINPOLY_PRIME`` against an echelon basis, tracking each basis
+    row's expression in the power basis; the first vanishing reduction
+    yields a monic m, lifted to coefficients in (-P/2, P/2].
+
+    The result is certified over Z by checking m(A) = 0 exactly.  The
+    true minimal polynomial is a monic integer polynomial and its
+    reduction is a dependence mod P, so deg m is at most its degree; an
+    integer annihilator is a multiple of it, so a passing check means
+    equal degrees and m is the minimal polynomial.  If the check fails
+    (the degree dropped mod P, or a true coefficient lies outside the
+    lift range), the search reruns with exact rationals.
     """
+    m = _minimal_polynomial_mod_p(d)
+    if not _annihilates(m, d):
+        m = _minimal_polynomial_rational(d)
+        assert _annihilates(m, d), "rational minimal polynomial does not annihilate A"
+    return m
+
+
+def _minimal_polynomial_mod_p(d: Digraph) -> IntPolynomial:
+    """First dependence among I, A, A^2, ... mod P, lifted to Z."""
+    p = MINPOLY_PRIME
+    power = identity_matrix(d.n)
+    basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, vec, combo)
+    while True:
+        vec = [x for row in power for x in row]
+        combo = [0] * len(basis) + [1]
+        for pivot, bvec, bcombo in basis:
+            f = vec[pivot]
+            if f:
+                vec = [(x - f * y) % p for x, y in zip(vec, bvec)]
+                for idx, c in enumerate(bcombo):
+                    combo[idx] = (combo[idx] - f * c) % p
+        pivot = next((idx for idx, x in enumerate(vec) if x), None)
+        if pivot is None:
+            half = p // 2
+            return IntPolynomial(c - p if c > half else c for c in combo)
+        inv = pow(vec[pivot], -1, p)
+        basis.append((pivot, [x * inv % p for x in vec], [c * inv % p for c in combo]))
+        power = [[x % p for x in row] for row in _times_adjacency(d, power)]
+        assert len(basis) <= d.n, "no dependence found within n+1 powers"
+
+
+def _annihilates(f: IntPolynomial, d: Digraph) -> bool:
+    """f(A) == 0 over Z, by Horner steps R <- A R + c I."""
+    n = d.n
+    r = [[0] * n for _ in range(n)]
+    for c in reversed(f.coeffs):
+        r = _times_adjacency(d, r)
+        for i in range(n):
+            r[i][i] += c
+    return all(not any(row) for row in r)
+
+
+def _minimal_polynomial_rational(d: Digraph) -> IntPolynomial:
+    """The same dependence search with exact rationals; the
+    coefficients are integral for integer matrices (asserted)."""
     n = d.n
     a = d.adjacency_matrix()
     dim = n * n
@@ -329,8 +402,9 @@ def triangular_certificate(
                 return TriangularCertificate(
                     removed_row=removed_row,
                     removed_col=removed_col,
-                    row_order=tuple(r for r, _ in order),
-                    col_order=tuple(c for _, c in order),
+                    # from lists, not generators: see digraph.walk_count
+                    row_order=tuple([r for r, _ in order]),
+                    col_order=tuple([c for _, c in order]),
                 )
     return None
 
@@ -346,33 +420,7 @@ def _stage_search(
     memo: dict[tuple[int, int], bool] = {}
 
     def feasible(rmask: int, cmask: int) -> bool:
-        if rmask == 0:
-            return True
-        key = (rmask, cmask)
-        if key in memo:
-            return memo[key]
-        ok = False
-        for ri, r in enumerate(full_rows):
-            if not (rmask >> ri) & 1:
-                continue
-            for ci, c in enumerate(full_cols):
-                if not (cmask >> ci) & 1:
-                    continue
-                if r == c or a[r - 1][c - 1] == 0:
-                    continue
-                rest_ok = True
-                for cj, c2 in enumerate(full_cols):
-                    if cj != ci and (cmask >> cj) & 1:
-                        if c2 == r or a[r - 1][c2 - 1] != 0:
-                            rest_ok = False
-                            break
-                if rest_ok and feasible(rmask & ~(1 << ri), cmask & ~(1 << ci)):
-                    ok = True
-                    break
-            if ok:
-                break
-        memo[key] = ok
-        return ok
+        return _feasible(a, full_rows, full_cols, rmask, cmask, memo)
 
     if not feasible((1 << len(rows)) - 1, (1 << len(cols)) - 1):
         return None
@@ -406,3 +454,40 @@ def _stage_search(
                 break
         assert advanced, "feasible state failed to advance"
     return order
+
+
+def _feasible(a, full_rows, full_cols, rmask: int, cmask: int, memo: dict) -> bool:
+    """Whether the remaining rows and columns can be staged to the end.
+
+    Module level rather than a closure in _stage_search: a closure that
+    calls itself is a reference cycle, which would keep each search's
+    matrix and memo alive until a full garbage collection."""
+    if rmask == 0:
+        return True
+    key = (rmask, cmask)
+    if key in memo:
+        return memo[key]
+    ok = False
+    for ri, r in enumerate(full_rows):
+        if not (rmask >> ri) & 1:
+            continue
+        for ci, c in enumerate(full_cols):
+            if not (cmask >> ci) & 1:
+                continue
+            if r == c or a[r - 1][c - 1] == 0:
+                continue
+            rest_ok = True
+            for cj, c2 in enumerate(full_cols):
+                if cj != ci and (cmask >> cj) & 1:
+                    if c2 == r or a[r - 1][c2 - 1] != 0:
+                        rest_ok = False
+                        break
+            if rest_ok and _feasible(
+                a, full_rows, full_cols, rmask & ~(1 << ri), cmask & ~(1 << ci), memo
+            ):
+                ok = True
+                break
+        if ok:
+            break
+    memo[key] = ok
+    return ok

@@ -2,7 +2,9 @@
 
 Core claims:
     - every subcommand produces the worked outputs with exit code 0
-    - invalid specs, parameters and files exit 1 with an error line
+    - invalid specs, parameters and files exit 1 with an error line;
+      malformed digraph files and empty or reversed --n ranges exit 1
+      with one error line and no traceback
     - JSON output is deterministic, byte for byte
     - --file accepts both serializations, --out writes instead of
       printing, --n parses a..b ranges
@@ -10,13 +12,30 @@ Core claims:
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import pytest
+
+import digraph_spectra
 from digraph_spectra.cli import main
 
 WORKED = "x^8 - x^5 - x^3 - x - 1"
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter that imports this package."""
+    src = str(Path(digraph_spectra.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "digraph_spectra", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def run_cli(*argv):
@@ -216,19 +235,42 @@ class TestAnalysis:
 
 class TestProcess:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "digraph_spectra", "charpoly", "family=DCn", "n=5"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_process("charpoly", "family=DCn", "n=5")
         assert proc.returncode == 0
         assert "x^5 - 1" in proc.stdout
 
     def test_no_arguments_shows_usage(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "digraph_spectra"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_process()
         assert proc.returncode != 0
         assert "usage" in (proc.stderr + proc.stdout).lower()
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"n": 3, "arcs": [[1, 2, "x"], [2, 3], [3, 1]]}, "must be an integer"),
+            ({"n": 3.0, "arcs": [[1, 2], [2, 3], [3, 1]]}, "vertex count"),
+            ({"n": True, "arcs": []}, "vertex count"),
+            ({"n": 3, "arcs": [[1, 2], 5]}, "arc entries"),
+            ({"n": 3, "arcs": 5}, "must be a list"),
+        ],
+    )
+    def test_malformed_json_digraph(self, tmp_path, doc, message):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        proc = run_process("charpoly", f"--file={path}")
+        self._assert_one_line_error(proc, message)
+
+    @pytest.mark.parametrize("n_range", ["9..5", "0..3", "-2"])
+    def test_empty_or_nonpositive_n_range(self, n_range):
+        proc = run_process("verify", "--table=cdf", f"--n={n_range}")
+        self._assert_one_line_error(proc, "--n range")
+
+    @staticmethod
+    def _assert_one_line_error(proc, message):
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert message in proc.stderr

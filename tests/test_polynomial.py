@@ -4,7 +4,8 @@ Core claims:
     - parse/str round-trips the canonical text form, coefficient lists
       are constant-first, and ring arithmetic is exact
     - divrem has Z[x] semantics: exact when the division is exact,
-      InexactDivision otherwise; monic divisors always succeed
+      InexactDivision otherwise; monic divisors always succeed; the
+      integer long division agrees with rational long division
     - cyclotomic(d) satisfies prod_{d|n} Phi_d = x^n - 1 for n <= 30
     - gcd over Q is primitive with positive leading coefficient and
       divides both inputs exactly
@@ -13,10 +14,12 @@ Core claims:
       Q-squarefree on every family polynomial with n <= 14
     - Perron dominance and Brauer form classification match the
       worked instances; true Perron verdicts are cross-checked by the
-      complete monic-factor search for degree <= 6
+      complete monic-factor search for degree <= 6, whose integer
+      interpolation agrees with rational interpolation
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +44,7 @@ from digraph_spectra import (
     perron_irreducible,
     perron_margin,
 )
+from digraph_spectra.polynomial import _interp_points, _lagrange
 
 X = IntPolynomial.x()
 ONE = IntPolynomial.one()
@@ -48,6 +52,23 @@ ONE = IntPolynomial.one()
 
 def _poly(*coeffs_constant_first):
     return IntPolynomial(tuple(coeffs_constant_first))
+
+
+def _fraction_divrem(f, divisor):
+    """Rational long division; None when quotient or remainder is not
+    integral."""
+    rem = [Fraction(c) for c in f.coeffs]
+    ddeg = divisor.degree
+    if f.degree < ddeg:
+        return IntPolynomial(), f
+    quo = [Fraction(0)] * (f.degree - ddeg + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        quo[i] = rem[i + ddeg] / divisor.leading_coefficient
+        for j, dc in enumerate(divisor.coeffs):
+            rem[i + j] -= quo[i] * dc
+    if any(c.denominator != 1 for c in quo + rem):
+        return None
+    return IntPolynomial(int(c) for c in quo), IntPolynomial(int(c) for c in rem[:ddeg])
 
 
 small_polys = st.lists(
@@ -191,6 +212,27 @@ class TestDivision:
         q, r = f.divrem(b)
         assert q * b + r == f
         assert r.degree < b.degree
+
+    def test_matches_rational_long_division(self):
+        rng = random.Random(2024)
+        raised = 0
+        for trial in range(400):
+            ddeg = rng.randint(0, 5)
+            lead = 1 if trial % 2 == 0 else rng.choice([-3, -2, 2, 3, 4])
+            divisor = IntPolynomial(
+                [rng.randint(-4, 4) for _ in range(ddeg)] + [lead]
+            )
+            f = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 9))])
+            if trial % 3 == 0:
+                f = f * divisor  # exact case for non-monic divisors too
+            expected = _fraction_divrem(f, divisor)
+            if expected is None:
+                raised += 1
+                with pytest.raises(InexactDivision):
+                    f.divrem(divisor)
+            else:
+                assert f.divrem(divisor) == expected
+        assert 0 < raised < 200
 
     def test_is_divisible_by(self):
         f = _poly(-1, 0, 1)
@@ -405,7 +447,37 @@ class TestBrauer:
             brauer_form(_poly(1, 1, 3))
 
 
+def _fraction_lagrange(points, values):
+    """Rational Lagrange interpolation; None unless every coefficient is
+    an integer."""
+    acc = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        basis = [Fraction(1)]
+        for j, xj in enumerate(points):
+            if j != i:
+                basis = [Fraction(0)] + basis
+                for k in range(len(basis) - 1):
+                    basis[k] -= xj * basis[k + 1]
+                basis = [c / (xi - xj) for c in basis]
+        for k, c in enumerate(basis):
+            acc[k] += yi * c
+    if any(c.denominator != 1 for c in acc):
+        return None
+    return IntPolynomial(int(c) for c in acc)
+
+
 class TestFactorSearch:
+    def test_integer_interpolation_matches_rational(self):
+        rng = random.Random(77)
+        found = 0
+        for _ in range(300):
+            points = _interp_points(rng.randint(1, 4))
+            values = [rng.randint(-12, 12) for _ in points]
+            expected = _fraction_lagrange(points, values)
+            assert _lagrange(points, values) == expected, (points, values)
+            found += expected is not None
+        assert 0 < found < 300
+
     def test_finds_linear_factor(self):
         f = _poly(-2, 1, -2, 1)  # (x-2)(x^2+1)
         g = find_monic_factor(f, 1)

@@ -9,7 +9,9 @@ Core claims:
       stated component counts, and the signed aggregation of the listed
       covers reproduces every coefficient
     - minimal polynomials are exact, integral, divide the
-      characteristic polynomial, and match the worked instances
+      characteristic polynomial, and match the worked instances; the
+      modular search agrees with the rational elimination, and inputs
+      whose reduction mod P misleads it are caught by the Z certificate
     - squarefree characteristic polynomial implies non-derogatory
     - Cayley-Hamilton: the characteristic polynomial annihilates A
     - a triangular certificate, when found, is sound by direct check
@@ -38,7 +40,10 @@ from digraph_spectra import (
     triangular_certificate,
 )
 from digraph_spectra.digraph import identity_matrix, mat_mul
+from digraph_spectra import spectra
 from digraph_spectra.spectra import resolve_enumeration_cap
+
+P = spectra.MINPOLY_PRIME
 
 WORKED = "x^8 - x^5 - x^3 - x - 1"
 
@@ -46,6 +51,17 @@ WORKED = "x^8 - x^5 - x^3 - x - 1"
 def _random_digraph(rng, n, p=0.4):
     arcs = [
         (i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if rng.random() < p
+    ]
+    return build_digraph(n, arcs)
+
+
+def _random_loop_digraph(rng, n, p=0.4):
+    """Random digraph whose loops carry multiplicities 1..4."""
+    arcs = [
+        (i, j, rng.randint(1, 4) if i == j else 1)
         for i in range(1, n + 1)
         for j in range(1, n + 1)
         if rng.random() < p
@@ -132,6 +148,31 @@ class TestCharpolyRoutes:
         assert resolve_enumeration_cap(9) == 9
         monkeypatch.delenv("DIGRAPH_SPECTRA_CAP")
         assert resolve_enumeration_cap(None) == 12
+
+
+    def test_trace_recursion_matches_sympy_above_the_cap(self):
+        """Rows above the enumeration cap have no second route in the
+        package; sympy's charpoly stands in for it."""
+        sp = pytest.importorskip("sympy")
+        specs = [
+            spec
+            for table in ("cdc", "cdf", "cdw", "derived", "complements", "exponents")
+            for spec in table_specs(table, 13, 20)
+        ]
+        rng = random.Random(1300)
+        checked = 0
+        for spec in rng.sample(specs, 40):
+            try:
+                d = build_family(spec)
+            except InvalidParameter:
+                continue
+            x = sp.Symbol("x")
+            oracle = sp.Matrix(d.adjacency_matrix()).charpoly(x).all_coeffs()
+            assert charpoly_exact(d) == IntPolynomial(int(c) for c in reversed(oracle)), (
+                spec.to_text()
+            )
+            checked += 1
+        assert checked >= 20
 
 
 # -- explicit cycle-cover listing -------------------------------------
@@ -238,6 +279,52 @@ class TestMinimalPolynomial:
             d = _random_digraph(rng, rng.randint(1, 7))
             zero = _poly_at_matrix(minimal_polynomial(d), d.adjacency_matrix())
             assert all(all(v == 0 for v in row) for row in zero)
+
+
+class TestModularMinimalPolynomial:
+    """The search mod P against the rational elimination it replaced,
+    and the certificate over Z that guards it."""
+
+    def test_matches_rational_on_random_digraphs(self):
+        rng = random.Random(6161)
+        for _ in range(70):
+            d = _random_loop_digraph(rng, rng.randint(1, 7))
+            assert minimal_polynomial(d) == spectra._minimal_polynomial_rational(d)
+
+    def test_matches_rational_on_family_sweep(self):
+        for spec, graph in _family_sweep(9):
+            expected = spectra._minimal_polynomial_rational(graph)
+            assert minimal_polynomial(graph) == expected, spec.to_text()
+            # the modular search alone gets it right: no fallback needed
+            assert spectra._minimal_polynomial_mod_p(graph) == expected, spec.to_text()
+
+    @pytest.mark.parametrize(
+        "n, arcs, expected",
+        [
+            # A = (P): A vanishes mod P, so the search stops at x
+            (1, [(1, 1, P)], IntPolynomial((-P, 1))),
+            # A = (2^62 + 1) is 3 mod P; the lift x - 3 is the wrong integer
+            (1, [(1, 1, 2**62 + 1)], IntPolynomial((-(2**62 + 1), 1))),
+            # diag(1, 1 + P) is I mod P, so the degree drops from 2 to 1
+            (
+                2,
+                [(1, 1, 1), (2, 2, 1 + P)],
+                IntPolynomial((-1, 1)) * IntPolynomial((-(1 + P), 1)),
+            ),
+        ],
+    )
+    def test_certificate_failure_falls_back(self, n, arcs, expected):
+        d = build_digraph(n, arcs)
+        modular = spectra._minimal_polynomial_mod_p(d)
+        assert modular != expected
+        assert not spectra._annihilates(modular, d)
+        assert minimal_polynomial(d) == expected
+
+    def test_wrong_modular_answer_is_not_returned(self, monkeypatch):
+        d = build_family(FamilySpec("DCn_i_nmi", 8))
+        bogus = IntPolynomial.monomial(8) + 1
+        monkeypatch.setattr(spectra, "_minimal_polynomial_mod_p", lambda _: bogus)
+        assert str(minimal_polynomial(d)) == WORKED
 
 
 # -- non-derogatory status --------------------------------------------

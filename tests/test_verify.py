@@ -5,7 +5,8 @@ Core claims:
       characteristic-polynomial routes, and records closed-form
       agreement; degenerate parameters become skip rows with reasons
     - the family sweeps produce zero hard failures; the only recorded
-      witness discrepancy is the full-fan pair, never counted hard
+      witness discrepancy is the full-fan pair, never counted hard; the
+      one-row walk count behind it equals the matrix power's entry
     - report serializations (JSON document, JSON lines, markdown, CSV,
       text) are well formed and deterministic
     - the three distinct-eigenvalue methods return auditable
@@ -15,15 +16,19 @@ Core claims:
 import csv
 import io
 import json
+import random
 
 import pytest
 
 from digraph_spectra import (
     FamilySpec,
+    build_digraph,
     build_report,
     distinctness_check,
     parse_family_spec,
+    walk_count,
 )
+from digraph_spectra.verify import VerificationReport, _walks
 
 
 def _cdf_small():
@@ -95,6 +100,21 @@ class TestBuildReport:
         }
 
 
+def test_one_row_walk_count_matches_matrix_power():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        arcs = [
+            (i, j, rng.randint(1, 3) if i == j else 1)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            if rng.random() < 0.4
+        ]
+        d = build_digraph(n, arcs)
+        k, i, j = rng.randint(0, 9), rng.randint(1, n), rng.randint(1, n)
+        assert _walks(d, k, i, j) == walk_count(d, k).entry(i, j)
+
+
 # -- serializations ---------------------------------------------------
 
 
@@ -133,6 +153,14 @@ class TestReportFormats:
         text = _cdf_small().to_text()
         assert "hard_failures=0" in text
         assert "SKIP" in text
+
+
+def test_json_doc_equals_whole_document_dump():
+    report = build_report("cdw", (5, 6))
+    for rows in (report.rows, []):
+        r = VerificationReport(rows=rows)
+        whole = {"rows": [row.to_dict() for row in rows], "summary": r.summary}
+        assert r.to_json_doc() == json.dumps(whole, sort_keys=True, separators=(",", ":"))
 
 
 # -- distinct-eigenvalue methods --------------------------------------
@@ -176,3 +204,4 @@ class TestDistinctness:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             distinctness_check(FamilySpec("ADF", 7), "nope")
+
