@@ -4,8 +4,9 @@ The octagon with three chords, coefficient by coefficient
 
 Builds the 8-cycle with chords 1->7, 2->6, 3->5 and recovers its
 characteristic polynomial x^8 - x^5 - x^3 - x - 1 three ways: by the
-exact trace recursion, by signed enumeration of linear directed
-subgraphs, and by reading single coefficients off the subgraph lists.
+exact trace recursion, by the signed count of linear directed
+subgraphs (summed as clow sequences), and by reading single
+coefficients off the subgraph lists.
 """
 
 from digraph_spectra import (
@@ -28,7 +29,9 @@ phi = charpoly_exact(d)
 print("trace recursion:   ", phi)
 
 # Route two: sum over linear directed subgraphs (disjoint cycle unions),
-# each contributing (-1)^(number of cycles) times its arc-weight product.
+# each contributing (-1)^(number of cycles) times its arc-weight product,
+# computed as a sum over clow sequences (closed walks with increasing
+# smallest vertices) in which the non-covers cancel in pairs.
 psi = charpoly_ldsg(d)
 print("subgraph counting: ", psi)
 assert phi == psi

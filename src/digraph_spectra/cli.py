@@ -101,6 +101,7 @@ def cmd_build(args) -> int:
 
 def cmd_charpoly(args) -> int:
     _check_format(args, ("text", "json"))
+    limit = resolve_enumeration_cap(args.cap)  # a bad cap fails whatever the method
     graph, spec, source = _graph_from_args(args)
     method = args.method
     results: dict[str, str | None] = {}
@@ -110,11 +111,10 @@ def cmd_charpoly(args) -> int:
         results["exact"] = str(poly)
         coeffs["exact"] = poly.to_coeff_list()
     if method in ("ldsg", "all"):
-        limit = resolve_enumeration_cap(args.cap)
         if method == "all" and graph.n > limit:
             results["ldsg"] = None
         else:
-            poly = charpoly_ldsg(graph, cap=args.cap)
+            poly = charpoly_ldsg(graph, cap=limit)
             results["ldsg"] = str(poly)
             coeffs["ldsg"] = poly.to_coeff_list()
     if method in ("closed-form", "all"):
@@ -142,6 +142,7 @@ def cmd_charpoly(args) -> int:
             else None
         ),
     }
+    diff = _first_difference(coeffs["exact"], coeffs["ldsg"]) if hard_fail else None
     if args.format == "json":
         doc = {
             "source": source,
@@ -150,13 +151,29 @@ def cmd_charpoly(args) -> int:
             "coeffs": coeffs,
             "agreement": agreement,
         }
+        if diff is not None:
+            degree, exact, ldsg = diff
+            doc["first_difference"] = {"degree": degree, "exact": exact, "ldsg": ldsg}
         _emit(_dump_json(doc) + "\n", args.out)
     else:
         lines = [f"{name}: {text if text is not None else '(skipped)'}" for name, text in results.items()]
         if method == "all":
             lines.append(f"agreement: {agreement}")
+        if diff is not None:
+            lines.append("first difference: x^{} exact={} ldsg={}".format(*diff))
         _emit("\n".join(lines) + "\n", args.out)
     return 2 if hard_fail else 0
+
+
+def _first_difference(a: list[int], b: list[int]) -> tuple[int, int, int] | None:
+    """(k, a_k, b_k) for the highest degree k at which two coefficient
+    lists (constant term first) differ."""
+    for k in range(max(len(a), len(b)) - 1, -1, -1):
+        ak = a[k] if k < len(a) else 0
+        bk = b[k] if k < len(b) else 0
+        if ak != bk:
+            return k, ak, bk
+    return None
 
 
 def cmd_verify(args) -> int:

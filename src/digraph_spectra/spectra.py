@@ -4,12 +4,17 @@ Two independent routes to the characteristic polynomial:
 
 * :func:`charpoly_exact` runs the trace recursion on exact integer
   matrices (each division is provably exact and asserted);
-* :func:`charpoly_ldsg` enumerates linear directed subgraphs (spanning
-  collections of vertex-disjoint directed cycles) and signs each by its
-  component count, weighting by loop multiplicities.
+* :func:`charpoly_ldsg` computes the signed sum over linear directed
+  subgraphs (collections of vertex-disjoint directed cycles, signed by
+  component count and weighted by loop multiplicities) as Mahajan and
+  Vinay's clow-sequence sum: a dynamic programme over closed walks
+  through the successor lists, polynomial in n.
+  :func:`enumerate_ldsgs` lists the subgraphs themselves, one by one.
 
-The two never share code, so their agreement is a real cross-check and
-is treated as a hard assertion by the verification pipeline.
+The two routes never share code, so their agreement is a real
+cross-check and is treated as a hard assertion by the verification
+pipeline.  The enumeration cap only selects which digraphs get the
+second route.
 
 The minimal polynomial comes from the first linear dependence among the
 powers of the adjacency matrix, found by elimination modulo the prime
@@ -47,16 +52,23 @@ class TooLargeForSearch(ValueError):
 
 
 def resolve_enumeration_cap(cap: int | None = None) -> int:
-    """Explicit cap wins, then the environment variable, then the default."""
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if env:
+    """Explicit cap wins, then the environment variable, then the default.
+
+    A cap below 1 is rejected: it would silently switch the second
+    route off for every digraph."""
+    source = "cap"
+    if cap is None:
+        env = os.environ.get(CAP_ENV_VAR)
+        if not env:
+            return DEFAULT_ENUMERATION_CAP
+        source = CAP_ENV_VAR
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}")
-    return DEFAULT_ENUMERATION_CAP
+    if cap < 1:
+        raise ValueError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 # -- route 1: trace recursion -----------------------------------------
@@ -171,49 +183,23 @@ def enumerate_ldsgs(d: Digraph, i: int) -> list[Ldsg]:
     return found
 
 
-def _cycle_set_weights(d: Digraph) -> list[int]:
-    """weights[mask] = total arc-multiplicity weight of directed cycles
-    whose vertex set is exactly mask (0-based bits).
-
-    Cycles are rooted at their smallest vertex and grown as simple
-    paths through larger vertices, so each cycle is counted once.
-    """
-    n = d.n
-    succ = {v: d.successors(v) for v in range(1, n + 1)}
-    weights = [0] * (1 << n)
-    for u in range(n):
-        ends: list[dict[int, int] | None] = [None] * (1 << n)
-        ends[0] = {u: 1}
-        allowed_low = u + 1
-        for mask in range(1 << n):
-            state = ends[mask]
-            if state is None:
-                continue
-            for v, w in state.items():
-                for head, mult in succ[v + 1]:
-                    h = head - 1
-                    if h == u:
-                        weights[mask | (1 << u)] += w * mult
-                    elif h >= allowed_low and not mask & (1 << h):
-                        nxt = mask | (1 << h)
-                        bucket = ends[nxt]
-                        if bucket is None:
-                            bucket = {}
-                            ends[nxt] = bucket
-                        bucket[h] = bucket.get(h, 0) + w * mult
-            ends[mask] = None
-    return weights
-
-
 def charpoly_ldsg(d: Digraph, cap: int | None = None) -> IntPolynomial:
     """det(xI - A) from the signed count of linear directed subgraphs:
     the coefficient of x^(n-i) is the sum over ldsgs on i vertices of
     (-1)^components * weight.
 
-    Aggregated combinatorially: cycle weights are collected per vertex
-    set, then disjoint systems are composed by subset convolution (each
-    cycle contributing a factor -1); no linear algebra is shared with
-    the trace-recursion route.
+    Computed as the clow-sequence sum of Mahajan and Vinay (1997).  A
+    clow with head h is a closed walk h -> ... -> h whose other vertices
+    all exceed h; a clow sequence has strictly increasing heads and
+    contributes (-1)^(number of clows) times the product of its arc
+    multiplicities.  The sequences that are not sets of disjoint cycles
+    cancel in pairs, so the sum over sequences of total length i is the
+    ldsg coefficient.  Heads are independent, so the sum is the product
+    over h of (1 - sum_l clows_h[l] t^l) truncated at degree n, where
+    clows_h[l] is the weight of the length-l clows with head h: walks
+    are pushed through the successor lists, O(n^2 * arcs) integer work
+    in all, and no linear algebra is shared with the trace recursion.
+    The cap only selects which digraphs get this route.
     """
     limit = resolve_enumeration_cap(cap)
     if d.n > limit:
@@ -221,31 +207,25 @@ def charpoly_ldsg(d: Digraph, cap: int | None = None) -> IntPolynomial:
             f"n={d.n} exceeds the enumeration cap {limit}; raise the cap to force"
         )
     n = d.n
-    cyc = _cycle_set_weights(d)
-    full = 1 << n
-    signed = [0] * full  # signed[mask] = sum over ldsgs covering mask
-    signed[0] = 1
-    for mask in range(1, full):
-        low = mask & -mask
-        rest = mask ^ low
-        total = 0
-        sub = rest
-        while True:
-            cset = low | sub
-            w = cyc[cset]
-            if w:
-                total -= w * signed[mask ^ cset]
-            if sub == 0:
+    coeffs = [1] + [0] * n  # coeffs[i]: coefficient of x^(n-i)
+    for h in range(1, n + 1):
+        clows = [0] * (n + 1)
+        walks = {h: 1}  # end vertex -> weight of walks from h through vertices > h
+        for length in range(1, n + 1):
+            step: dict[int, int] = {}
+            for u, w in walks.items():
+                for v, mult in d.successors(u):
+                    if v == h:
+                        clows[length] += w * mult
+                    elif v > h:
+                        step[v] = step.get(v, 0) + w * mult
+            if not step:
                 break
-            sub = (sub - 1) & rest
-        signed[mask] = total
-    acc = [0] * (n + 1)
-    for mask in range(1, full):
-        acc[mask.bit_count()] += signed[mask]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    for i in range(1, n + 1):
-        coeffs[n - i] = acc[i]
+            walks = step
+        lengths = [length for length in range(1, n + 1) if clows[length]]
+        for i in range(n, 0, -1):  # multiply by 1 - clows(t), high degrees first
+            coeffs[i] -= sum([clows[k] * coeffs[i - k] for k in lengths if k <= i])
+    coeffs.reverse()
     return IntPolynomial(coeffs)
 
 

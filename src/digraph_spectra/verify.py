@@ -320,6 +320,7 @@ def build_report(
 ) -> VerificationReport:
     """Rows for the requested tables (name list or 'all'); n_range
     overrides each table's default sweep."""
+    cap = resolve_enumeration_cap(cap)  # a bad cap fails even if no row needs it
     if tables == "all":
         tables = list(TABLE_NAMES)
     elif isinstance(tables, str):

@@ -3,8 +3,11 @@
 Core claims:
     - every subcommand produces the worked outputs with exit code 0
     - invalid specs, parameters and files exit 1 with an error line;
-      malformed digraph files and empty or reversed --n ranges exit 1
-      with one error line and no traceback
+      malformed digraph files, empty or reversed --n ranges and
+      nonpositive caps (flag or DIGRAPH_SPECTRA_CAP) exit 1 with one
+      error line and no traceback
+    - a route disagreement exits 2 and names the first differing
+      coefficient; agreeing output carries no such line or key
     - JSON output is deterministic, byte for byte
     - --file accepts both serializations, --out writes instead of
       printing, --n parses a..b ranges
@@ -21,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import digraph_spectra
+from digraph_spectra import IntPolynomial, cli
 from digraph_spectra.cli import main
 
 WORKED = "x^8 - x^5 - x^3 - x - 1"
@@ -92,6 +96,29 @@ class TestCharpoly:
         assert rc == 0
         assert out.count(WORKED) == 3
         assert "'exact_ldsg': True" in out
+        assert "first difference" not in out
+        rc, out, _ = run_cli(
+            "charpoly", "family=DCn_i_nmi", "n=8", "--method=all", "--format=json"
+        )
+        assert rc == 0 and "first_difference" not in json.loads(out)
+
+    def test_disagreement_names_first_difference(self, monkeypatch):
+        real = cli.charpoly_ldsg
+
+        def perturbed(d, cap=None):
+            coeffs = real(d, cap=cap).to_coeff_list()
+            coeffs[1] += 2
+            coeffs[3] += 7  # the highest differing degree is named
+            return IntPolynomial(coeffs)
+
+        monkeypatch.setattr(cli, "charpoly_ldsg", perturbed)
+        argv = ("charpoly", "family=DCn_i_nmi", "n=8", "--method=all")
+        rc, out, _ = run_cli(*argv)
+        assert rc == 2
+        assert out.splitlines()[-1] == "first difference: x^3 exact=-1 ldsg=6"
+        rc, out, _ = run_cli(*argv, "--format=json")
+        assert rc == 2
+        assert json.loads(out)["first_difference"] == {"degree": 3, "exact": -1, "ldsg": 6}
 
     def test_exact_only(self):
         rc, out, _ = run_cli("charpoly", "family=UDW", "n=4", "--method=exact")
@@ -266,6 +293,31 @@ class TestBadInput:
     def test_empty_or_nonpositive_n_range(self, n_range):
         proc = run_process("verify", "--table=cdf", f"--n={n_range}")
         self._assert_one_line_error(proc, "--n range")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--table=cdc", "--n=5..5", "--cap=-3"),
+            ("verify", "--table=cdc", "--n=5..5", "--cap=0"),
+            ("charpoly", "family=DCn", "n=4", "--method=all", "--cap=-3"),
+            ("charpoly", "family=DCn", "n=4", "--method=exact", "--cap=0"),
+        ],
+    )
+    def test_nonpositive_cap_flag(self, argv):
+        proc = run_process(*argv)
+        self._assert_one_line_error(proc, "cap must be at least 1")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("verify", "--table=cdc", "--n=5..5"),
+            ("charpoly", "family=DCn", "n=4", "--method=all"),
+        ],
+    )
+    def test_nonpositive_cap_env(self, monkeypatch, command):
+        monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "-1")
+        proc = run_process(*command)
+        self._assert_one_line_error(proc, "DIGRAPH_SPECTRA_CAP must be at least 1")
 
     @staticmethod
     def _assert_one_line_error(proc, message):

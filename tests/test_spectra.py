@@ -5,6 +5,10 @@ Core claims:
     - the trace-recursion route and the cycle-cover route agree on the
       worked example, on family sweeps, and on seeded random digraphs
       (the full 200-case oracle run lives in the acceptance suite)
+    - the clow-sequence route reproduces the term sum of the listed
+      covers (loop multiplicities, sinks), and the trace recursion on
+      every default-table row above the default cap and on DCc at n=24
+    - a cap below 1 is rejected rather than switching the route off
     - enumerate_ldsgs lists each cycle cover exactly once with the
       stated component counts, and the signed aggregation of the listed
       covers reproduces every coefficient
@@ -40,6 +44,7 @@ from digraph_spectra import (
     triangular_certificate,
 )
 from digraph_spectra.digraph import identity_matrix, mat_mul
+from digraph_spectra.families import DEFAULT_RANGES, TABLE_NAMES
 from digraph_spectra import spectra
 from digraph_spectra.spectra import resolve_enumeration_cap
 
@@ -149,10 +154,40 @@ class TestCharpolyRoutes:
         monkeypatch.delenv("DIGRAPH_SPECTRA_CAP")
         assert resolve_enumeration_cap(None) == 12
 
+    def test_nonpositive_cap_rejected(self, monkeypatch):
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                resolve_enumeration_cap(cap)
+        monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "-1")
+        with pytest.raises(ValueError, match="DIGRAPH_SPECTRA_CAP"):
+            resolve_enumeration_cap(None)
+        d = build_family(FamilySpec("DCn", 3))
+        with pytest.raises(ValueError, match="at least 1"):
+            charpoly_ldsg(d)
+
+    def test_clow_route_on_default_rows_above_the_cap(self):
+        """Every default-table row with n = 13..20, which the subset
+        convolution this route replaced could not reach."""
+        checked = 0
+        for table in TABLE_NAMES:
+            lo, hi = DEFAULT_RANGES[table]
+            for spec in table_specs(table, max(lo, 13), min(hi, 20)):
+                try:
+                    d = build_family(spec)
+                except InvalidParameter:
+                    continue
+                assert charpoly_ldsg(d, cap=d.n) == charpoly_exact(d), spec.to_text()
+                checked += 1
+        assert checked >= 180
+
+    def test_clow_route_on_dense_circulant(self):
+        d = build_family(FamilySpec("DCc", 24))
+        assert charpoly_ldsg(d, cap=24) == charpoly_exact(d)
+
 
     def test_trace_recursion_matches_sympy_above_the_cap(self):
-        """Rows above the enumeration cap have no second route in the
-        package; sympy's charpoly stands in for it."""
+        """Rows above the default cap get no second route in a default
+        verify run; sympy's charpoly checks the trace recursion there."""
         sp = pytest.importorskip("sympy")
         specs = [
             spec
@@ -215,6 +250,21 @@ class TestEnumerateLdsgs:
                 for cover in enumerate_ldsgs(d, i):
                     acc += (-1) ** cover.components * cover.weight
                 assert psi.coefficient(n - i) == acc, (d, i)
+
+    def test_clow_route_matches_the_listing(self):
+        """charpoly_ldsg against the term sum of the listed covers, on
+        digraphs with loop multiplicities up to 4 and with sinks."""
+        rng = random.Random(8080)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            sinks = set(rng.sample(range(1, n + 1), rng.randint(0, n // 2)))
+            d = _random_loop_digraph(rng, n)
+            d = build_digraph(n, [arc for arc in d.arcs if arc[0] not in sinks])
+            coeffs = [1] + [
+                sum((-1) ** c.components * c.weight for c in enumerate_ldsgs(d, i))
+                for i in range(1, n + 1)
+            ]
+            assert charpoly_ldsg(d) == IntPolynomial(reversed(coeffs)), d
 
     def test_no_duplicate_covers(self):
         rng = random.Random(23)
