@@ -44,10 +44,9 @@ pipeline, never an exception here.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from .digraph import Digraph, build_digraph, complement
+from .digraph import Digraph, _require_int, build_digraph, complement
 from .polynomial import IntPolynomial, cyclotomic, geometric_sum
 
 
@@ -129,16 +128,32 @@ class FamilySpec:
         return out
 
 
-_INNER_RE = re.compile(r"inner=\(([^()]*)\)")
+_INNER_OPEN = "inner=("
+
+
+def _split_inner(text: str) -> tuple[str | None, str]:
+    """The text inside the first ``inner=(...)`` group, matched by
+    balanced parentheses so that inner specs can nest, and the text with
+    the group removed; (None, text) when there is no group."""
+    start = text.find(_INNER_OPEN)
+    if start < 0:
+        return None, text
+    depth = 0
+    for end in range(start + len(_INNER_OPEN) - 1, len(text)):
+        if text[end] == "(":
+            depth += 1
+        elif text[end] == ")":
+            depth -= 1
+            if depth == 0:
+                inner = text[start + len(_INNER_OPEN) : end]
+                return inner, text[:start] + text[end + 1 :]
+    raise ValueError(f"unbalanced parentheses after inner=( in {text!r}")
 
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse the canonical text form; unknown keys are an error."""
-    inner = None
-    m = _INNER_RE.search(text)
-    if m:
-        inner = parse_family_spec(m.group(1))
-        text = text[: m.start()] + text[m.end() :]
+    inner_text, text = _split_inner(text)
+    inner = None if inner_text is None else parse_family_spec(inner_text)
     fields: dict = {}
     for token in text.split():
         if "=" not in token:
@@ -179,13 +194,29 @@ def _parse_int(key: str, value: str) -> int:
 
 
 def family_spec_from_json_dict(obj: dict) -> FamilySpec:
+    """Build a spec from its JSON object form, checking every value's
+    type: a wrong type raises a ValueError subclass, never TypeError."""
     if not isinstance(obj, dict) or "family" not in obj or "n" not in obj:
         raise ValueError("family JSON needs keys 'family' and 'n'")
     known = {"family", "n", "j", "m", "tips", "arcs", "inner"}
     for key in obj:
         if key not in known:
             raise ValueError(f"unknown spec key {key!r}")
+    if not isinstance(obj["family"], str):
+        raise InvalidParameter(f"key family needs a string, got {obj['family']!r}")
+    for key in ("n", "j", "m"):
+        if obj.get(key) is not None:
+            _require_int(obj[key], f"key {key}")
+    for key in ("tips", "arcs"):
+        value = obj.get(key)
+        if value is not None:
+            if not isinstance(value, list):
+                raise InvalidParameter(f"key {key} needs a list of integers, got {value!r}")
+            for item in value:
+                _require_int(item, f"key {key} entry")
     inner = obj.get("inner")
+    if inner is not None and not isinstance(inner, dict):
+        raise InvalidParameter(f"key inner needs a JSON object, got {inner!r}")
     spec = FamilySpec(
         family=obj["family"],
         n=obj["n"],
@@ -447,17 +478,17 @@ def closed_form_charpoly(spec: FamilySpec) -> IntPolynomial:
         return x**n - IntPolynomial.monomial(n - 1, spec.m) - geometric_sum(0, n - 2)
     if name == "Yn_arcs_loops":
         exits = sorted(set(spec.arcs) | {n})
-        poly = x**n - IntPolynomial.monomial(n - 1, spec.m)
+        c = _monic(n)
+        c[n - 1] -= spec.m
         for i in range(2, n + 1):
-            count = sum(1 for e in exits if e >= i)
-            if count:
-                poly = poly - IntPolynomial.monomial(n - i, count)
-        return poly
+            c[n - i] -= sum(1 for e in exits if e >= i)
+        return IntPolynomial(c)
     if name == "Zn_loop":
-        poly = x**n - IntPolynomial.monomial(n - 1, 2)
-        if spec.j > 2:
-            poly = poly - geometric_sum(0, spec.j - 3)
-        return poly
+        c = _monic(n)
+        c[n - 1] -= 2
+        for e in range(spec.j - 2):
+            c[e] -= 1
+        return IntPolynomial(c)
     if name == "kDF":
         return (
             x**n
@@ -470,77 +501,87 @@ def closed_form_charpoly(spec: FamilySpec) -> IntPolynomial:
             - geometric_sum(0, n - (k + 1))
         )
     if name == "HDF":
+        c = _monic(n)
         if n % 2 == 1:
-            poly = x**n - IntPolynomial.monomial(k - 1, k - 1)
+            c[k - 1] -= k - 1
             for i in range(1, k):
-                poly = poly - IntPolynomial.monomial(2 * k - i - 1, i)
-                poly = poly - IntPolynomial.monomial(i - 1, i)
-            return poly
-        poly = x**n
+                c[2 * k - i - 1] -= i
+                c[i - 1] -= i
+            return IntPolynomial(c)
         for i in range(1, k):
-            poly = poly - IntPolynomial.monomial(2 * k - i - 2, i)
-            poly = poly - IntPolynomial.monomial(i - 1, i)
-        return poly
+            c[2 * k - i - 2] -= i
+            c[i - 1] -= i
+        return IntPolynomial(c)
     if name == "TDF":
         q = n // 3
-        poly = x**n
+        c = _monic(n)
         if n % 3 == 0:
-            poly = poly - 1
+            c[0] -= 1
             for r in range(1, q):
-                poly = poly - IntPolynomial.monomial(3 * r - 2)
-                poly = poly - IntPolynomial.monomial(3 * r - 1, r)
-                poly = poly - IntPolynomial.monomial(3 * r, r + 1)
-            return poly
+                c[3 * r - 2] -= 1
+                c[3 * r - 1] -= r
+                c[3 * r] -= r + 1
+            return IntPolynomial(c)
         if n % 3 == 1:
             for r in range(q):
-                poly = poly - IntPolynomial.monomial(3 * r, r + 1)
-                poly = poly - IntPolynomial.monomial(3 * r + 1, r + 1)
-            return poly
+                c[3 * r] -= r + 1
+                c[3 * r + 1] -= r + 1
+            return IntPolynomial(c)
         for r in range(q):
-            poly = poly - IntPolynomial.monomial(3 * r)
-            poly = poly - IntPolynomial.monomial(3 * r + 2, r + 1)
-            poly = poly - IntPolynomial.monomial(3 * r + 1, r + 2)
-        return poly
+            c[3 * r] -= 1
+            c[3 * r + 2] -= r + 1
+            c[3 * r + 1] -= r + 2
+        return IntPolynomial(c)
     if name == "UDW":
         return x**n - x
     if name == "ADW":
+        c = _monic(n)
         if n % 2 == 1:
-            poly = x**n - x
+            c[1] -= 1
             for i in range(k):
-                poly = poly - IntPolynomial.monomial(2 * i, k)
-            return poly
-        poly = x**n - IntPolynomial.monomial(1, 2)
+                c[2 * i] -= k
+            return IntPolynomial(c)
+        c[1] -= 2
         for i in range(2, k):
-            poly = poly - IntPolynomial.monomial(2 * i - 1, i)
+            c[2 * i - 1] -= i
         for j in range(2, k + 1):
-            poly = poly - IntPolynomial.monomial(2 * (k - j), j - 1)
-        return poly
+            c[2 * (k - j)] -= j - 1
+        return IntPolynomial(c)
     if name == "RADW":
-        poly = x**n - IntPolynomial.monomial(1, 2)
+        c = _monic(n)
+        c[1] -= 2
         for i in range(k):
-            poly = poly - IntPolynomial.monomial(2 * i, k)
+            c[2 * i] -= k
         for i in range(1, k):
-            poly = poly - IntPolynomial.monomial(2 * i + 1)
-        return poly
+            c[2 * i + 1] -= 1
+        return IntPolynomial(c)
     if name == "kDW":
         return x**n - geometric_sum(2, n - 3) - IntPolynomial.monomial(1, 2) - 1
     if name == "HDW":
-        poly = x**n - x
+        c = _monic(n)
+        c[1] -= 1
         if n % 2 == 1:
             for i in range(1, k):
-                poly = poly - IntPolynomial.monomial(i - 1, i)
-                poly = poly - IntPolynomial.monomial(2 * k - i - 1, i)
-            poly = poly - IntPolynomial.monomial(k - 1, k)
-            return poly
+                c[i - 1] -= i
+                c[2 * k - i - 1] -= i
+            c[k - 1] -= k
+            return IntPolynomial(c)
         for i in range(1, k):
-            poly = poly - IntPolynomial.monomial(i - 1, i)
-            poly = poly - IntPolynomial.monomial(2 * k - i - 2, i)
-        return poly
+            c[i - 1] -= i
+            c[2 * k - i - 2] -= i
+        return IntPolynomial(c)
     if name == "DCc":
         return complement_closed_form("DCc", n)
     if name == "UDWc":
         return complement_closed_form("UDWc", n)
     raise InvalidParameter(f"no closed form for family {name!r}")
+
+
+def _monic(n: int) -> list[int]:
+    """Coefficients of x^n, constant term first: the closed forms below
+    subtract their lower terms in place and build one polynomial, not
+    one throwaway polynomial of full degree per term."""
+    return [0] * n + [1]
 
 
 def complement_closed_form(kind: str, n: int) -> IntPolynomial:

@@ -16,12 +16,16 @@ cross-check and is treated as a hard assertion by the verification
 pipeline.  The enumeration cap only selects which digraphs get the
 second route.
 
-The minimal polynomial comes from the first linear dependence among the
-powers of the adjacency matrix, found by elimination modulo the prime
-P = 2^61 - 1.  The coefficients are lifted to the symmetric range and
-certified over Z by checking m(A) = 0 exactly; only if that check fails
-does the search rerun with exact rationals.  A digraph is
-non-derogatory when the minimal polynomial has full degree n.
+The minimal polynomial is found modulo the prime P = 2^61 - 1 from
+Krylov sequences of unit vectors: m starts at 1 and, for j = 1, 2, ...,
+is multiplied by the minimal polynomial of the sequence of
+v = m(A) e_j, which makes it lcm(m, minpoly(e_j)); the search stops at
+degree n.  The coefficients are lifted to the symmetric range and
+certified over Z by checking m(A) e_j = 0 exactly for every processed
+j, which proves m(A) = 0 because those e_j either are all of them or
+have Krylov vectors spanning Q^n; only if that check fails does the
+search rerun with exact rationals.  A digraph is non-derogatory when
+the minimal polynomial has full degree n.
 
 :func:`triangular_certificate` searches for a sufficient witness: an
 ordered arc matching on n-1 rows and columns of xI - A whose staircase
@@ -236,35 +240,66 @@ MINPOLY_PRIME = 2**61 - 1
 
 
 def minimal_polynomial(d: Digraph) -> IntPolynomial:
-    """Monic generator of the dependencies among I, A, A^2, ...
+    """Monic generator of the polynomials f with f(A) = 0.
 
-    Flattens each power into a vector and reduces it modulo
-    ``MINPOLY_PRIME`` against an echelon basis, tracking each basis
-    row's expression in the power basis; the first vanishing reduction
-    yields a monic m, lifted to coefficients in (-P/2, P/2].
+    Found modulo ``MINPOLY_PRIME`` from Krylov sequences of unit
+    vectors (Wiedemann 1986).  For j = 1, 2, ... the search forms
+    v = m(A) e_j, finds the minimal polynomial g of v's sequence
+    v, Av, A^2 v, ... and replaces m by m g.  Since g is the minimal
+    polynomial of e_j divided by its gcd with m, the product is
+    lcm(m, minpoly(e_j)); over all j it is the minimal polynomial of A
+    mod P.  The search stops as soon as deg m = n.  The coefficients are
+    lifted to (-P/2, P/2].
 
-    The result is certified over Z by checking m(A) = 0 exactly.  The
-    true minimal polynomial is a monic integer polynomial and its
-    reduction is a dependence mod P, so deg m is at most its degree; an
-    integer annihilator is a multiple of it, so a passing check means
-    equal degrees and m is the minimal polynomial.  If the check fails
-    (the degree dropped mod P, or a true coefficient lies outside the
-    lift range), the search reruns with exact rationals.
+    The result is certified over Z by checking m(A) e_j = 0 exactly for
+    every processed j.  That proves m(A) = 0: either every unit vector
+    was processed, or the search stopped at degree n, when the Krylov
+    vectors of the processed e_j have rank n mod P and hence span Q^n.
+    The true minimal polynomial is a monic integer polynomial that m
+    divides mod P, so deg m is at most its degree; an integer
+    annihilator is a multiple of it, so a passing check means equal
+    degrees and m is the minimal polynomial.  If the check fails (the
+    degree dropped mod P, or a true coefficient lies outside the lift
+    range), the search reruns with exact rationals.
     """
-    m = _minimal_polynomial_mod_p(d)
-    if not _annihilates(m, d):
+    m, processed = _minimal_polynomial_mod_p(d)
+    if not _annihilates(m, d, processed):
         m = _minimal_polynomial_rational(d)
-        assert _annihilates(m, d), "rational minimal polynomial does not annihilate A"
+        assert _annihilates(m, d, range(1, d.n + 1)), (
+            "rational minimal polynomial does not annihilate A"
+        )
     return m
 
 
-def _minimal_polynomial_mod_p(d: Digraph) -> IntPolynomial:
-    """First dependence among I, A, A^2, ... mod P, lifted to Z."""
+def _minimal_polynomial_mod_p(d: Digraph) -> tuple[IntPolynomial, range]:
+    """lcm of the unit vectors' minimal polynomials mod P, lifted to Z,
+    and the vertices j whose e_j the search processed."""
     p = MINPOLY_PRIME
-    power = identity_matrix(d.n)
+    n = d.n
+    succ = [[(h - 1, w) for h, w in d.successors(v)] for v in range(1, n + 1)]
+    m = [1]  # coefficients mod P, constant term first
+    j = 0
+    while j < n and len(m) <= n:
+        v = [0] * n
+        for c in reversed(m):  # Horner: v <- A v + c e_j
+            v = [sum([w * v[h] for h, w in row]) % p for row in succ]
+            v[j] = (v[j] + c) % p
+        j += 1
+        if any(v):
+            g = IntPolynomial(_krylov_minpoly_mod_p(succ, v))
+            m = [c % p for c in (IntPolynomial(m) * g).coeffs]
+    half = p // 2
+    return IntPolynomial([c - p if c > half else c for c in m]), range(1, j + 1)
+
+
+def _krylov_minpoly_mod_p(succ: list, v: list[int]) -> list[int]:
+    """Monic first dependence among v, Av, A^2 v, ... mod P, constant
+    term first: each vector is reduced against an echelon basis that
+    records each basis row's expression in the sequence."""
+    p = MINPOLY_PRIME
     basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, vec, combo)
     while True:
-        vec = [x for row in power for x in row]
+        vec = v
         combo = [0] * len(basis) + [1]
         for pivot, bvec, bcombo in basis:
             f = vec[pivot]
@@ -274,28 +309,32 @@ def _minimal_polynomial_mod_p(d: Digraph) -> IntPolynomial:
                     combo[idx] = (combo[idx] - f * c) % p
         pivot = next((idx for idx, x in enumerate(vec) if x), None)
         if pivot is None:
-            half = p // 2
-            return IntPolynomial(c - p if c > half else c for c in combo)
+            return combo
         inv = pow(vec[pivot], -1, p)
         basis.append((pivot, [x * inv % p for x in vec], [c * inv % p for c in combo]))
-        power = [[x % p for x in row] for row in _times_adjacency(d, power)]
-        assert len(basis) <= d.n, "no dependence found within n+1 powers"
+        v = [sum([w * v[h] for h, w in row]) % p for row in succ]
 
 
-def _annihilates(f: IntPolynomial, d: Digraph) -> bool:
-    """f(A) == 0 over Z, by Horner steps R <- A R + c I."""
+def _annihilates(f: IntPolynomial, d: Digraph, vertices) -> bool:
+    """f(A) e_j == 0 over Z for every j in ``vertices``, by Horner steps
+    r <- A r + c e_j."""
     n = d.n
-    r = [[0] * n for _ in range(n)]
-    for c in reversed(f.coeffs):
-        r = _times_adjacency(d, r)
-        for i in range(n):
-            r[i][i] += c
-    return all(not any(row) for row in r)
+    succ = [[(h - 1, w) for h, w in d.successors(v)] for v in range(1, n + 1)]
+    for j in vertices:
+        r = [0] * n
+        for c in reversed(f.coeffs):
+            r = [sum([w * r[h] for h, w in row]) for row in succ]
+            r[j - 1] += c
+        if any(r):
+            return False
+    return True
 
 
 def _minimal_polynomial_rational(d: Digraph) -> IntPolynomial:
-    """The same dependence search with exact rationals; the
-    coefficients are integral for integer matrices (asserted)."""
+    """First dependence among the flattened powers I, A, A^2, ... with
+    exact rationals; the coefficients are integral for integer matrices
+    (asserted).  The fallback of the modular search, and its reference
+    in the tests."""
     n = d.n
     a = d.adjacency_matrix()
     dim = n * n

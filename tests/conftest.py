@@ -3,10 +3,31 @@
 The acceptance tests register one summary line per criterion in
 ACCEPTANCE_LINES; the sessionfinish hook reprints the block after the
 normal pytest output so the pass/fail lines are visible even though
-stdout is captured during the run.
+stdout is captured during the run.  run_python starts a fresh
+interpreter for the CLI and demo tests.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import digraph_spectra
+
 ACCEPTANCE_LINES: list[str] = []
+
+
+def run_python(*args):
+    """``python *args`` in a fresh interpreter that imports this package
+    from the same ``src/`` as the tests."""
+    src = str(Path(digraph_spectra.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def pytest_sessionfinish(session, exitstatus):

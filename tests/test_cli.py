@@ -2,7 +2,9 @@
 
 Core claims:
     - every subcommand produces the worked outputs with exit code 0
-    - invalid specs, parameters and files exit 1 with an error line;
+    - nested Complement specs parse; invalid specs (an unbalanced
+      inner=( group among them), parameters and files exit 1 with an
+      error line;
       malformed digraph files, empty or reversed --n ranges and
       nonpositive caps (flag or DIGRAPH_SPECTRA_CAP) exit 1 with one
       error line and no traceback
@@ -15,15 +17,11 @@ Core claims:
 
 import io
 import json
-import os
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 
-import digraph_spectra
+from conftest import run_python
 from digraph_spectra import IntPolynomial, cli
 from digraph_spectra.cli import main
 
@@ -32,14 +30,7 @@ WORKED = "x^8 - x^5 - x^3 - x - 1"
 
 def run_process(*argv):
     """The CLI in a fresh interpreter that imports this package."""
-    src = str(Path(digraph_spectra.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "digraph_spectra", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return run_python("-m", "digraph_spectra", *argv)
 
 
 def run_cli(*argv):
@@ -250,6 +241,13 @@ class TestAnalysis:
         assert rc == 0
         assert "non_derogatory: False" in out
 
+    def test_minpoly_of_nested_complement(self):
+        inner = "inner=(family=Complement n=5 inner=(family=DCn n=5))"
+        rc, out, _ = run_cli("minpoly", "family=Complement", "n=5", *inner.split())
+        assert rc == 0
+        assert f"source: family=Complement n=5 {inner}" in out
+        assert "min_poly: x^5 - 1" in out
+
     def test_nonderogatory_with_certificate(self):
         rc, out, _ = run_cli("nonderogatory", "family=DCn", "n=5", "--format=json")
         doc = json.loads(out)
@@ -288,6 +286,10 @@ class TestBadInput:
         path.write_text(json.dumps(doc))
         proc = run_process("charpoly", f"--file={path}")
         self._assert_one_line_error(proc, message)
+
+    def test_unbalanced_inner_spec(self):
+        proc = run_process("minpoly", "family=Complement", "n=5", "inner=(family=DCn", "n=5")
+        self._assert_one_line_error(proc, "unbalanced parentheses after inner=(")
 
     @pytest.mark.parametrize("n_range", ["9..5", "0..3", "-2"])
     def test_empty_or_nonpositive_n_range(self, n_range):

@@ -1,9 +1,10 @@
 """Family registry: specs, constructions, closed forms, table sweeps.
 
 Core claims:
-    - spec text and JSON forms round-trip, including the nested
-      Complement-of form; malformed specs and out-of-range parameters
-      raise with a reason
+    - spec text and JSON forms round-trip, including Complement specs
+      nested to depth 3; malformed specs, unbalanced inner=( groups,
+      wrongly typed JSON values and out-of-range parameters raise a
+      ValueError subclass with a reason
     - constructed arc sets match the worked instances exactly
     - closed_form_charpoly agrees with the computed polynomial on the
       spot-checked instances and on a sweep of every family
@@ -17,6 +18,7 @@ import pytest
 
 from digraph_spectra import (
     FAMILY_NAMES,
+    NotAnInteger,
     FamilySpec,
     IntPolynomial,
     InvalidParameter,
@@ -78,6 +80,30 @@ class TestSpecForms:
         spec = parse_family_spec("family=Complement n=5 inner=(family=ADF n=5)")
         assert family_spec_from_json_dict(spec.to_json_dict()) == spec
 
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_nested_complement_round_trip(self, depth):
+        spec = FamilySpec("DCn", 5)
+        for _ in range(depth):
+            spec = FamilySpec("Complement", 5, inner=spec)
+        text = spec.to_text()
+        assert text.count("inner=(") == depth
+        assert parse_family_spec(text) == spec
+        assert family_spec_from_json_dict(spec.to_json_dict()) == spec
+        # a complement taken twice gives the digraph back
+        expected = FamilySpec("DCn", 5) if depth % 2 == 0 else FamilySpec("DCc", 5)
+        assert build_family(spec) == build_family(expected)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "family=Complement n=5 inner=(family=DCn n=5",
+            "family=Complement n=5 inner=(family=Complement n=5 inner=(family=DCn n=5)",
+        ],
+    )
+    def test_unbalanced_inner_group(self, text):
+        with pytest.raises(ValueError, match="unbalanced parentheses after inner="):
+            parse_family_spec(text)
+
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_family_spec("ADF(5)")
@@ -93,6 +119,42 @@ class TestSpecForms:
     def test_json_unknown_key(self):
         with pytest.raises(ValueError):
             family_spec_from_json_dict({"family": "ADF", "n": 5, "extra": 1})
+
+    @pytest.mark.parametrize(
+        "obj, error, message",
+        [
+            ({"family": 5, "n": 5}, InvalidParameter, "key family needs a string"),
+            ({"family": "ADF", "n": "5"}, NotAnInteger, "key n must be an integer"),
+            ({"family": "ADF", "n": True}, NotAnInteger, "key n must be an integer"),
+            ({"family": "DCn_i_kpjpi", "n": 9, "j": 2.0}, NotAnInteger, "key j"),
+            ({"family": "Xn_loops", "n": 6, "m": "4"}, NotAnInteger, "key m"),
+            ({"family": "DCn_tips", "n": 8, "tips": 5}, InvalidParameter, "key tips needs a list"),
+            ({"family": "DCn_tips", "n": 8, "tips": ["a", 1]}, NotAnInteger, "key tips entry"),
+            (
+                {"family": "Yn_arcs_loops", "n": 7, "m": 3, "arcs": "3,5"},
+                InvalidParameter,
+                "key arcs needs a list",
+            ),
+            (
+                {"family": "Yn_arcs_loops", "n": 7, "m": 3, "arcs": [3, None]},
+                NotAnInteger,
+                "key arcs entry",
+            ),
+            (
+                {"family": "Complement", "n": 5, "inner": "family=DCn n=5"},
+                InvalidParameter,
+                "key inner needs a JSON object",
+            ),
+            (
+                {"family": "Complement", "n": 5, "inner": {"family": "DCn", "n": "5"}},
+                NotAnInteger,
+                "key n",
+            ),
+        ],
+    )
+    def test_json_value_types(self, obj, error, message):
+        with pytest.raises(error, match=message):
+            family_spec_from_json_dict(obj)
 
     def test_registry_names(self):
         assert "DCn" in FAMILY_NAMES and "Complement" in FAMILY_NAMES

@@ -14,8 +14,10 @@ Core claims:
       covers reproduces every coefficient
     - minimal polynomials are exact, integral, divide the
       characteristic polynomial, and match the worked instances; the
-      modular search agrees with the rational elimination, and inputs
-      whose reduction mod P misleads it are caught by the Z certificate
+      modular search agrees with the rational elimination and with a
+      sympy factor-and-rank oracle, joins unit vectors by lcm when e_1
+      is not cyclic, and inputs whose reduction mod P misleads it are
+      caught by the Z certificate
     - squarefree characteristic polynomial implies non-derogatory
     - Cayley-Hamilton: the characteristic polynomial annihilates A
     - a triangular certificate, when found, is sound by direct check
@@ -346,7 +348,8 @@ class TestModularMinimalPolynomial:
             expected = spectra._minimal_polynomial_rational(graph)
             assert minimal_polynomial(graph) == expected, spec.to_text()
             # the modular search alone gets it right: no fallback needed
-            assert spectra._minimal_polynomial_mod_p(graph) == expected, spec.to_text()
+            modular, _ = spectra._minimal_polynomial_mod_p(graph)
+            assert modular == expected, spec.to_text()
 
     @pytest.mark.parametrize(
         "n, arcs, expected",
@@ -365,16 +368,94 @@ class TestModularMinimalPolynomial:
     )
     def test_certificate_failure_falls_back(self, n, arcs, expected):
         d = build_digraph(n, arcs)
-        modular = spectra._minimal_polynomial_mod_p(d)
+        modular, processed = spectra._minimal_polynomial_mod_p(d)
         assert modular != expected
-        assert not spectra._annihilates(modular, d)
+        assert not spectra._annihilates(modular, d, processed)
+        assert minimal_polynomial(d) == expected
+
+    @pytest.mark.parametrize(
+        "n, arcs, expected, processed",
+        [
+            # a 3-cycle and a 2-cycle: e_1 only reaches the 3-cycle, so the
+            # search needs e_4 too and never reaches degree n
+            (
+                5,
+                [(1, 2), (2, 3), (3, 1), (4, 5), (5, 4)],
+                IntPolynomial((-1, 0, 0, 1)) * IntPolynomial((1, 1)),
+                5,
+            ),
+            # a 3-cycle and a double loop: degree n once e_4 is joined
+            (
+                4,
+                [(1, 2), (2, 3), (3, 1), (4, 4, 2)],
+                IntPolynomial((-1, 0, 0, 1)) * IntPolynomial((-2, 1)),
+                4,
+            ),
+        ],
+    )
+    def test_lcm_joins_unit_vectors(self, n, arcs, expected, processed):
+        d = build_digraph(n, arcs)
+        modular, vertices = spectra._minimal_polynomial_mod_p(d)
+        assert modular == expected
+        assert list(vertices) == list(range(1, processed + 1))
         assert minimal_polynomial(d) == expected
 
     def test_wrong_modular_answer_is_not_returned(self, monkeypatch):
         d = build_family(FamilySpec("DCn_i_nmi", 8))
         bogus = IntPolynomial.monomial(8) + 1
-        monkeypatch.setattr(spectra, "_minimal_polynomial_mod_p", lambda _: bogus)
+        monkeypatch.setattr(
+            spectra, "_minimal_polynomial_mod_p", lambda _: (bogus, range(1, 2))
+        )
         assert str(minimal_polynomial(d)) == WORKED
+
+
+def _sympy_minimal_polynomial(sp, d):
+    """Product of f^e over the irreducible factors f of the
+    characteristic polynomial, e being the first exponent at which the
+    rank of f(A)^e stops falling."""
+    x = sp.Symbol("x")
+    a = sp.Matrix(d.adjacency_matrix())
+    _, factors = sp.factor_list(a.charpoly(x).as_expr(), x)
+    result = sp.Integer(1)
+    for f, _ in factors:
+        fa = sp.zeros(d.n, d.n)
+        for c in sp.Poly(f, x).all_coeffs():
+            fa = a * fa + c * sp.eye(d.n)
+        power, rank, e = fa, fa.rank(), 1
+        while True:
+            power = power * fa
+            if power.rank() == rank:
+                break
+            rank, e = power.rank(), e + 1
+        result *= f**e
+    return IntPolynomial([int(c) for c in reversed(sp.Poly(result, x).all_coeffs())])
+
+
+class TestMinimalPolynomialOracle:
+    """An independent oracle through sympy's factorization and ranks."""
+
+    def test_derogatory_default_table_rows(self):
+        sp = pytest.importorskip("sympy")
+        derogatory = []
+        for table in TABLE_NAMES:
+            lo, hi = DEFAULT_RANGES[table]
+            for spec in table_specs(table, lo, hi):
+                try:
+                    d = build_family(spec)
+                except InvalidParameter:
+                    continue
+                mp = minimal_polynomial(d)
+                if mp.degree < d.n:
+                    derogatory.append(spec.to_text())
+                    assert mp == _sympy_minimal_polynomial(sp, d), spec.to_text()
+        assert derogatory == [f"family=UDWc n={n}" for n in (5, 7, 9, 11, 13)]
+
+    def test_random_loop_digraphs(self):
+        sp = pytest.importorskip("sympy")
+        rng = random.Random(4242)
+        for _ in range(25):
+            d = _random_loop_digraph(rng, rng.randint(1, 7), p=rng.choice([0.2, 0.4]))
+            assert minimal_polynomial(d) == _sympy_minimal_polynomial(sp, d), d.arcs
 
 
 # -- non-derogatory status --------------------------------------------
