@@ -124,13 +124,14 @@ def complement(d: Digraph) -> Digraph:
     if not d.is_simple:
         raise NotSimple("complement is defined for simple digraphs only")
     present = {(i, j) for i, j, _ in d.arcs}
-    arcs = [
-        (i, j)
+    # Generated sorted, in range and simple, so no revalidation is needed.
+    arcs = tuple([
+        (i, j, 1)
         for i in range(1, d.n + 1)
         for j in range(1, d.n + 1)
         if i != j and (i, j) not in present
-    ]
-    return build_digraph(d.n, arcs)
+    ])
+    return Digraph(n=d.n, arcs=arcs)
 
 
 def _reachable(d: Digraph, start: int, reverse: bool = False) -> set[int]:

@@ -3,8 +3,10 @@
 A digraph is primitive iff it is strongly connected and the gcd of its
 cycle lengths is 1; its exponent is the least k with every entry of A^k
 positive.  The iteration packs each boolean row into an int bitmask and
-is guarded by the (n-1)^2 + 1 bound on primitive exponents, which is an
-assertion, not a tunable.
+forms A^(k+1) = A A^k by pushing the powers through the successor lists:
+row i is the OR of the rows of A^k at i's successors, one OR per arc per
+step.  It is guarded by the (n-1)^2 + 1 bound on primitive exponents,
+which is an assertion, not a tunable.
 
 The witness pair of an exponent result is the lexicographically
 smallest (i, j) with no walk of length exponent-1 from i to j, the
@@ -35,26 +37,6 @@ def is_primitive(d: Digraph) -> bool:
     return is_strongly_connected(d) and cycle_gcd(d) == 1
 
 
-def _bool_rows(d: Digraph) -> list[int]:
-    rows = [0] * d.n
-    for i, j, _ in d.arcs:
-        rows[i - 1] |= 1 << (j - 1)
-    return rows
-
-
-def _bool_mul(a: list[int], b: list[int]) -> list[int]:
-    out = []
-    for row in a:
-        acc = 0
-        rest = row
-        while rest:
-            low = rest & -rest
-            acc |= b[low.bit_length() - 1]
-            rest ^= low
-        out.append(acc)
-    return out
-
-
 def exponent(d: Digraph) -> ExponentResult:
     """Exponent and sharpness witness of a primitive digraph;
     (False, None, None) when not primitive."""
@@ -62,14 +44,19 @@ def exponent(d: Digraph) -> ExponentResult:
         return ExponentResult(primitive=False, exponent=None, witness_pair=None)
     n = d.n
     full = (1 << n) - 1
-    base = _bool_rows(d)
-    power = base
+    succ = [[h - 1 for h, _ in d.successors(v)] for v in range(1, n + 1)]
+    power = [sum([1 << h for h in heads]) for heads in succ]
     previous = None
     e = 1
     bound = (n - 1) * (n - 1) + 1
     while any(row != full for row in power):
         previous = power
-        power = _bool_mul(power, base)
+        power = []  # A^(e+1) = A A^e: row i is the OR of A^e's rows at i's successors
+        for heads in succ:
+            acc = 0
+            for h in heads:
+                acc |= previous[h]
+            power.append(acc)
         e += 1
         assert e <= bound, "exponent exceeded the primitive-digraph bound"
     witness = None

@@ -151,14 +151,18 @@ def _split_inner(text: str) -> tuple[str | None, str]:
 
 
 def parse_family_spec(text: str) -> FamilySpec:
-    """Parse the canonical text form; unknown keys are an error."""
+    """Parse the canonical text form; unknown and repeated keys are an
+    error."""
     inner_text, text = _split_inner(text)
-    inner = None if inner_text is None else parse_family_spec(inner_text)
     fields: dict = {}
+    if inner_text is not None:
+        fields["inner"] = parse_family_spec(inner_text)
     for token in text.split():
         if "=" not in token:
             raise ValueError(f"expected key=value, got {token!r}")
         key, _, value = token.partition("=")
+        if key in fields:
+            raise ValueError(f"repeated spec key {key!r}")
         if key == "family":
             fields["family"] = value
         elif key == "n":
@@ -178,8 +182,6 @@ def parse_family_spec(text: str) -> FamilySpec:
         raise ValueError("spec is missing family=<name>")
     if "n" not in fields:
         raise ValueError("spec is missing n=<count>")
-    if inner is not None:
-        fields["inner"] = inner
     spec = FamilySpec(**fields)
     if spec.family not in _FAMILY_TABLE:
         raise InvalidParameter(f"unknown family {spec.family!r}")

@@ -3,7 +3,11 @@
 Two independent routes to the characteristic polynomial:
 
 * :func:`charpoly_exact` runs the trace recursion on exact integer
-  matrices (each division is provably exact and asserted);
+  matrices (each division is provably exact and asserted), each row
+  packed into one int in slots wide enough for a proven entry bound, so
+  a row of A M is one big-int add per arc; a vertex with more
+  successors than non-successors instead subtracts its non-successors'
+  rows from the column-sum row;
 * :func:`charpoly_ldsg` computes the signed sum over linear directed
   subgraphs (collections of vertex-disjoint directed cycles, signed by
   component count and weighted by loop multiplicities) as Mahajan and
@@ -38,9 +42,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
-from .digraph import Digraph, identity_matrix, mat_mul
+from .digraph import Digraph, mat_mul
 from .polynomial import IntPolynomial
 
 DEFAULT_ENUMERATION_CAP = 12
@@ -78,39 +81,76 @@ def resolve_enumeration_cap(cap: int | None = None) -> int:
 # -- route 1: trace recursion -----------------------------------------
 
 
-def _times_adjacency(d: Digraph, m: list[list[int]]) -> list[list[int]]:
-    """A M over Z, row i of the product being the multiplicity-weighted
-    sum of the rows of M that vertex i's arcs select: O(n * arcs)."""
-    out = []
-    for v in range(1, d.n + 1):
-        acc = [0] * d.n
-        for h, w in d.successors(v):
-            row = m[h - 1]
-            acc = list(map(add, acc, row)) if w == 1 else [x + w * y for x, y in zip(acc, row)]
-        out.append(acc)
-    return out
-
-
 def charpoly_exact(d: Digraph) -> IntPolynomial:
     """det(xI - A) via the trace recursion, exact over Z.
 
     Iterates M_0 = I, M_k = A M_(k-1) + c_(k-1) I with
     c_k = -trace(A M_(k-1)) / k; every division is exact for integer
-    matrices and is asserted.  Each product A M is formed from the
-    successor lists.
+    matrices and is asserted, and M_n = 0 (Cayley-Hamilton) is asserted
+    at the end.
+
+    Each row of M is one int, entry j in slot j: M[i][j] * 2^(s*j)
+    summed over j, with s = n * R.bit_length() + n + 2 for the largest
+    multiplicity-weighted out-degree R (at least 1).  Row v of A M is
+    then one big-int add per arc of v.  When v has more successors than
+    non-successors, the row is instead the column-sum row (the sum of
+    all rows, formed once per step) minus the rows of v's
+    non-successors; the form is chosen per vertex.  Either way a loop of
+    multiplicity w > 1 adds (w - 1) times its row once more.
+
+    Slot bound.  Packing is linear and exact whatever the slots hold,
+    so only the diagonal slots read back need a bound.  A principal
+    j-minor of A is at most the product of its rows' 1-norms, so
+    |c_j| <= C(n, j) R^j, and entries of A^i are at most R^i.  An entry
+    of A M_(k-1) = sum_(j<k) c_j A^(k-j) is therefore at most
+    R^k sum_j C(n, j) <= R^n 2^n < 2^(s-2).  The slots below slot i add
+    up to less than 2^(s-2) * 2^(s*i) / (2^s - 1) <= 2^(s*i - 1) in
+    size, so rounding the row to the nearest multiple of 2^(s*i),
+    ((x >> (s*i - 1)) + 1) >> 1, absorbs their borrows; slot i is then
+    the low s bits, sign-folded.
     """
     n = d.n
-    m = identity_matrix(n)
+    r = max([1] + [sum([w for _, w in d.successors(v)]) for v in range(1, n + 1)])
+    s = n * r.bit_length() + n + 2
+    size = 1 << s
+    forms = []  # per vertex: rows added, rows subtracted; row n is the column sums
+    excess = []  # (vertex, row, w - 1) for each loop of multiplicity w > 1
+    dense = False
+    for v in range(1, n + 1):
+        succ = d.successors(v)
+        heads = [h - 1 for h, _ in succ]
+        if 2 * len(heads) > n:
+            forms.append(([n], sorted(set(range(n)) - set(heads))))
+            dense = True
+        else:
+            forms.append((heads, []))
+        excess += [(v - 1, h - 1, w - 1) for h, w in succ if w > 1]
+    shifts = [s * i - 1 for i in range(n)]
+    m = [1 << (s * i) for i in range(n)]
     coeffs = [1]  # leading coefficient of x^n
     for k in range(1, n + 1):
-        am = _times_adjacency(d, m)
-        t = sum(am[i][i] for i in range(n))
+        if dense:
+            m.append(sum(m))
+        am = []
+        for plus, minus in forms:
+            x = 0
+            for h in plus:
+                x += m[h]
+            for h in minus:
+                x -= m[h]
+            am.append(x)
+        for i, h, w in excess:
+            am[i] += w * m[h]
+        slots = [  # slot 0 has no lower slots to round away
+            (x if shift < 0 else ((x >> shift) + 1) >> 1) & (size - 1)
+            for x, shift in zip(am, shifts)
+        ]
+        t = sum([u - size if u >= size >> 1 else u for u in slots])
         assert t % k == 0, "trace recursion produced a non-integer coefficient"
         ck = -t // k
         coeffs.append(ck)
-        for i in range(n):
-            am[i][i] += ck
-        m = am
+        m = [x + (ck << (shift + 1)) for x, shift in zip(am, shifts)]
+    assert not any(m), "trace recursion did not end in the zero matrix"
     return IntPolynomial(reversed(coeffs))
 
 

@@ -3,8 +3,8 @@
 Core claims:
     - every subcommand produces the worked outputs with exit code 0
     - nested Complement specs parse; invalid specs (an unbalanced
-      inner=( group among them), parameters and files exit 1 with an
-      error line;
+      inner=( group and a repeated key among them), parameters and files
+      exit 1 with an error line;
       malformed digraph files, empty or reversed --n ranges and
       nonpositive caps (flag or DIGRAPH_SPECTRA_CAP) exit 1 with one
       error line and no traceback
@@ -290,6 +290,10 @@ class TestBadInput:
     def test_unbalanced_inner_spec(self):
         proc = run_process("minpoly", "family=Complement", "n=5", "inner=(family=DCn", "n=5")
         self._assert_one_line_error(proc, "unbalanced parentheses after inner=(")
+
+    def test_repeated_spec_key(self):
+        proc = run_process("charpoly", "family=DCn", "n=5", "n=7")
+        self._assert_one_line_error(proc, "repeated spec key 'n'")
 
     @pytest.mark.parametrize("n_range", ["9..5", "0..3", "-2"])
     def test_empty_or_nonpositive_n_range(self, n_range):

@@ -127,6 +127,23 @@ class TestComplement:
             assert complement(c) == d
             assert d.arc_count + c.arc_count == n * (n - 1)
 
+    def test_matches_validated_build(self):
+        """The complement skips revalidation, so it must be exactly the
+        digraph that build_digraph makes from the same arcs."""
+        rng = random.Random(2606)
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            d = _random_simple(rng, n, p=rng.random())
+            arcs = [
+                (i, j)
+                for i in range(1, n + 1)
+                for j in range(1, n + 1)
+                if i != j and not d.has_arc(i, j)
+            ]
+            c = complement(d)
+            assert c == build_digraph(n, arcs)
+            assert complement(c) == d
+
     def test_no_loops_ever(self):
         d = build_digraph(3, [])
         c = complement(d)

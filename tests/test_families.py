@@ -3,8 +3,8 @@
 Core claims:
     - spec text and JSON forms round-trip, including Complement specs
       nested to depth 3; malformed specs, unbalanced inner=( groups,
-      wrongly typed JSON values and out-of-range parameters raise a
-      ValueError subclass with a reason
+      repeated keys, wrongly typed JSON values and out-of-range
+      parameters raise a ValueError subclass with a reason
     - constructed arc sets match the worked instances exactly
     - closed_form_charpoly agrees with the computed polynomial on the
       spot-checked instances and on a sweep of every family
@@ -102,6 +102,22 @@ class TestSpecForms:
     )
     def test_unbalanced_inner_group(self, text):
         with pytest.raises(ValueError, match="unbalanced parentheses after inner="):
+            parse_family_spec(text)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("family=DCn n=5 n=7", "n"),
+            ("family=DCn family=ADF n=5", "family"),
+            ("family=DCn_tips n=6 tips=1 tips=2", "tips"),
+            (
+                "family=Complement n=5 inner=(family=ADF n=5) inner=(family=DCn n=5)",
+                "inner",
+            ),
+        ],
+    )
+    def test_repeated_key(self, text, key):
+        with pytest.raises(ValueError, match=f"repeated spec key '{key}'"):
             parse_family_spec(text)
 
     def test_parse_errors(self):

@@ -8,6 +8,10 @@ Core claims:
     - the clow-sequence route reproduces the term sum of the listed
       covers (loop multiplicities, sinks), and the trace recursion on
       every default-table row above the default cap and on DCc at n=24
+    - the packed-row trace recursion matches a list-of-rows reference on
+      seeded random digraphs with sinks, dense rows, mixed rows and loop
+      multiplicities up to 2^62 + 1, and the complete digraph with m
+      loops at every vertex at n = 32
     - a cap below 1 is rejected rather than switching the route off
     - enumerate_ldsgs lists each cycle cover exactly once with the
       stated component counts, and the signed aggregation of the listed
@@ -38,6 +42,7 @@ from digraph_spectra import (
     build_family,
     charpoly_exact,
     charpoly_ldsg,
+    complement,
     enumerate_ldsgs,
     is_non_derogatory,
     is_squarefree,
@@ -210,6 +215,85 @@ class TestCharpolyRoutes:
             )
             checked += 1
         assert checked >= 20
+
+
+def _list_trace_recursion(d):
+    """Reference for the packed route: the same recursion on a list of
+    integer rows, row i of A M being the multiplicity-weighted sum of
+    the rows of M that vertex i's arcs select."""
+    n = d.n
+    m = identity_matrix(n)
+    coeffs = [1]
+    for k in range(1, n + 1):
+        am = []
+        for v in range(1, n + 1):
+            acc = [0] * n
+            for h, w in d.successors(v):
+                acc = [x + w * y for x, y in zip(acc, m[h - 1])]
+            am.append(acc)
+        t = sum(am[i][i] for i in range(n))
+        assert t % k == 0
+        coeffs.append(-t // k)
+        for i in range(n):
+            am[i][i] += coeffs[-1]
+        m = am
+    return IntPolynomial(list(reversed(coeffs)))
+
+
+class TestPackedTraceRecursion:
+    """charpoly_exact packs each row of M into one int and picks, per
+    vertex, a sum over successors or the column sums minus the
+    non-successors."""
+
+    def test_matches_list_reference_on_random_digraphs(self):
+        """n = 1..24, per-vertex densities from 0 (sinks) to 1, so rows
+        mix the two forms, and loop multiplicities up to 2^62 + 1, which
+        need wide slots."""
+        rng = random.Random(6262)
+        weights = [1, 1, 2, 3, 2**31, 2**62 + 1]
+        for n in list(range(1, 25)) * 2:
+            density = [rng.choice([0.0, 0.1, 0.5, 0.9, 1.0]) for _ in range(n)]
+            arcs = [
+                (i, j, rng.choice(weights) if i == j else 1)
+                for i in range(1, n + 1)
+                for j in range(1, n + 1)
+                if rng.random() < density[i - 1]
+            ]
+            d = build_digraph(n, arcs)
+            assert charpoly_exact(d) == _list_trace_recursion(d), (n, arcs)
+
+    def test_matches_list_reference_on_dense_complements(self):
+        """Complements of sparse simple digraphs, alone and with weighted
+        loops added, so that dense rows carry a loop excess."""
+        rng = random.Random(6263)
+        for n in range(2, 21):
+            p = rng.choice([0.05, 0.2, 0.5])
+            sparse = build_digraph(
+                n,
+                [
+                    (i, j)
+                    for i in range(1, n + 1)
+                    for j in range(1, n + 1)
+                    if i != j and rng.random() < p
+                ],
+            )
+            d = complement(sparse)
+            loops = [(v, v, rng.randint(1, 5)) for v in range(1, n + 1) if rng.random() < 0.5]
+            for graph in (d, build_digraph(n, [a[:2] for a in d.arcs] + loops)):
+                assert charpoly_exact(graph) == _list_trace_recursion(graph), graph
+
+    @pytest.mark.parametrize("loops", [1, 3, 2**40 + 7])
+    def test_complete_digraph_with_loops(self, loops):
+        """A = J + (m - 1) I at n = 32: (x - m - n + 1)(x - m + 1)^(n-1),
+        with large negative coefficients."""
+        n = 32
+        d = build_digraph(
+            n, [(i, j, loops if i == j else 1) for i in range(1, n + 1) for j in range(1, n + 1)]
+        )
+        expected = IntPolynomial([-(loops + n - 1), 1])
+        for _ in range(n - 1):
+            expected = expected * IntPolynomial([-(loops - 1), 1])
+        assert charpoly_exact(d) == expected
 
 
 # -- explicit cycle-cover listing -------------------------------------
