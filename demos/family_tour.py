@@ -1,55 +1,45 @@
 #!/usr/bin/env python3
-"""Quick tour: build one member of each digraph family and compare the
-computed characteristic polynomial against the shipped closed form."""
+"""Quick tour: build one member of each registered digraph family and
+compare the computed characteristic polynomial against the shipped
+closed form."""
 
 import json
 
 from digraph_spectra import (
     FAMILY_NAMES,
+    TABLE_NAMES,
     FamilySpec,
     InvalidParameter,
     build_family,
     charpoly_exact,
     closed_form_charpoly,
     family_spec_from_json_dict,
+    has_closed_form,
     parse_family_spec,
+    table_specs,
 )
+from digraph_spectra.families import DEFAULT_RANGES
 
-# one representative of every registered family, at small order
-picks = [
-    "family=DCn n=8",
-    "family=DCn_i_nmi n=8",
-    "family=DCn_i_kmi n=8",
-    "family=DCn_i_kpjpi n=9 j=2",
-    "family=DCn_tips n=8 tips=2,4",
-    "family=DCn_m n=8 m=3",
-    "family=ADF n=7",
-    "family=ADF_loops n=7",
-    "family=PDF n=6",
-    "family=Xn_loops n=6 m=4",
-    "family=Yn_arcs_loops n=6 m=4 arcs=3,5",
-    "family=Zn_loop n=7 j=3",
-    "family=kDF n=8",
-    "family=HDF n=6",
-    "family=TDF n=9",
-    "family=UDW n=6",
-    "family=ADW n=9",
-    "family=RADW n=9",
-    "family=kDW n=8",
-    "family=HDW n=8",
-    "family=DCc n=6",
-    "family=UDWc n=6",
-    "family=Complement n=6 inner=(family=DCn n=6)",
-]
+# each family's first valid row of the verification tables; Complement
+# wraps any inner spec, so it has no table rows and gets one here
+picks = {"Complement": parse_family_spec("family=Complement n=6 inner=(family=DCn n=6)")}
+for table in TABLE_NAMES:
+    for spec in table_specs(table, *DEFAULT_RANGES[table]):
+        if spec.family in picks:
+            continue
+        try:
+            build_family(spec)
+        except InvalidParameter:
+            continue  # e.g. RADW at even n
+        picks[spec.family] = spec
 
-for text in picks:
-    spec = parse_family_spec(text)
+for name in FAMILY_NAMES:
+    spec = picks[name]
     d = build_family(spec)
     phi = charpoly_exact(d)
-    try:
-        closed = closed_form_charpoly(spec)
-        tag = "closed form ok" if closed == phi else "CLOSED FORM MISMATCH"
-    except (InvalidParameter, KeyError, ValueError):
+    if has_closed_form(name):
+        tag = "closed form ok" if closed_form_charpoly(spec) == phi else "CLOSED FORM MISMATCH"
+    else:
         tag = "no closed form"
     print(f"{spec.to_text():48s} n={d.n:2d}  {str(phi):36s} {tag}")
 
@@ -62,7 +52,7 @@ print("round trips:", spec.to_text(), "|", json.dumps(spec.to_json_dict()))
 
 # out-of-range parameters are rejected up front, not at build time
 try:
-    build_family(FamilySpec("ADF", 6))
+    build_family(FamilySpec("DCn_m", 6, m=9))
 except InvalidParameter as exc:
     print("rejected:", exc)
 

@@ -18,9 +18,11 @@ from . import digraph as dg
 from .digraph import Digraph
 from .exponents import exponent as compute_exponent
 from .families import (
+    TABLE_NAMES,
     FamilySpec,
     build_family,
     closed_form_charpoly,
+    has_closed_form,
     parse_family_spec,
 )
 from .spectra import (
@@ -34,7 +36,6 @@ from .spectra import (
 from .verify import DISTINCT_METHODS, build_report, distinctness_check
 
 _METHODS = ("exact", "ldsg", "closed-form", "all")
-_TABLES = ("cdc", "cdf", "cdw", "derived", "complements", "exponents", "all")
 
 
 def _dump_json(obj) -> str:
@@ -47,6 +48,14 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_doc(doc: dict, args) -> None:
+    """One JSON line, or one ``key: value`` line per entry."""
+    if args.format == "json":
+        _emit(_dump_json(doc) + "\n", args.out)
+    else:
+        _emit("".join(f"{key}: {value}\n" for key, value in doc.items()), args.out)
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -118,9 +127,9 @@ def cmd_charpoly(args) -> int:
             results["ldsg"] = str(poly)
             coeffs["ldsg"] = poly.to_coeff_list()
     if method in ("closed-form", "all"):
-        if spec is None:
-            if method == "closed-form":
-                raise ValueError("closed-form method needs a family spec, not a file")
+        if spec is None and method == "closed-form":
+            raise ValueError("closed-form method needs a family spec, not a file")
+        if method == "all" and (spec is None or not has_closed_form(spec.family)):
             results["closed_form"] = None
         else:
             poly = closed_form_charpoly(spec)
@@ -195,11 +204,7 @@ def cmd_distinct(args) -> int:
     _check_format(args, ("text", "json"))
     spec = _spec_from_args(args)
     result = distinctness_check(spec, args.method)
-    if args.format == "json":
-        _emit(_dump_json(result) + "\n", args.out)
-    else:
-        lines = [f"{key}: {value}" for key, value in result.items()]
-        _emit("\n".join(lines) + "\n", args.out)
+    _emit_doc(result, args)
     return 0
 
 
@@ -213,12 +218,7 @@ def cmd_exponent(args) -> int:
         "exponent": result.exponent,
         "witness_pair": list(result.witness_pair) if result.witness_pair else None,
     }
-    if args.format == "json":
-        _emit(_dump_json(doc) + "\n", args.out)
-    else:
-        _emit(
-            "\n".join(f"{key}: {value}" for key, value in doc.items()) + "\n", args.out
-        )
+    _emit_doc(doc, args)
     return 0
 
 
@@ -233,12 +233,7 @@ def cmd_minpoly(args) -> int:
         "degree": poly.degree,
         "non_derogatory": poly.degree == graph.n,
     }
-    if args.format == "json":
-        _emit(_dump_json(doc) + "\n", args.out)
-    else:
-        _emit(
-            "\n".join(f"{key}: {value}" for key, value in doc.items()) + "\n", args.out
-        )
+    _emit_doc(doc, args)
     return 0
 
 
@@ -267,12 +262,7 @@ def cmd_nonderogatory(args) -> int:
     except TooLargeForSearch:
         doc["certificate_searched"] = False
         doc["certificate"] = None
-    if args.format == "json":
-        _emit(_dump_json(doc) + "\n", args.out)
-    else:
-        _emit(
-            "\n".join(f"{key}: {value}" for key, value in doc.items()) + "\n", args.out
-        )
+    _emit_doc(doc, args)
     return 0
 
 
@@ -306,7 +296,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_charpoly)
 
     p = subs.add_parser("verify", help="rebuild and cross-check the family tables")
-    p.add_argument("--table", default="all", choices=_TABLES)
+    p.add_argument("--table", default="all", choices=(*TABLE_NAMES, "all"))
     p.add_argument("--n", help="n range a..b (default: per-table sweep)")
     p.add_argument("--cap", type=int, help="linear-subgraph enumeration cap override")
     p.add_argument("--format", default="text", choices=("text", "json", "csv", "md"))

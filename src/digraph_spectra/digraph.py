@@ -134,29 +134,29 @@ def complement(d: Digraph) -> Digraph:
     return Digraph(n=d.n, arcs=arcs)
 
 
-def _reachable(d: Digraph, start: int, reverse: bool = False) -> set[int]:
-    adj: dict[int, list[int]] = {v: [] for v in range(1, d.n + 1)}
-    for i, j, _ in d.arcs:
-        if reverse:
-            adj[j].append(i)
-        else:
-            adj[i].append(j)
-    seen = {start}
-    stack = [start]
+def _reaches_all(neighbours: dict[int, list[int]]) -> bool:
+    """Whether a search from vertex 1 along the neighbour lists reaches
+    every vertex."""
+    seen = {1}
+    stack = [1]
     while stack:
-        u = stack.pop()
-        for w in adj[u]:
+        for w in neighbours[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return seen
+    return len(seen) == len(neighbours)
 
 
 def is_strongly_connected(d: Digraph) -> bool:
-    if d.n == 1:
-        return True
-    full = set(range(1, d.n + 1))
-    return _reachable(d, 1) == full and _reachable(d, 1, reverse=True) == full
+    """Vertex 1 reaches every vertex along the successor lists, and
+    every vertex reaches it: vertex 1 reaches all along the predecessor
+    lists built from them."""
+    heads = {v: [h for h, _ in d.successors(v)] for v in range(1, d.n + 1)}
+    tails: dict[int, list[int]] = {v: [] for v in heads}
+    for v, hs in heads.items():
+        for h in hs:
+            tails[h].append(v)
+    return _reaches_all(heads) and _reaches_all(tails)
 
 
 def cycle_gcd(d: Digraph) -> int:
@@ -169,6 +169,11 @@ def cycle_gcd(d: Digraph) -> int:
     """
     if not is_strongly_connected(d):
         raise NotStronglyConnected("cycle gcd needs a strongly connected digraph")
+    return _level_gcd(d)
+
+
+def _level_gcd(d: Digraph) -> int:
+    """cycle_gcd of a digraph already known to be strongly connected."""
     level = {1: 0}
     queue = [1]
     head = 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, cycle_gcd, is_strongly_connected
+from .digraph import Digraph, _level_gcd, is_strongly_connected
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,8 @@ class ExponentResult:
 
 
 def is_primitive(d: Digraph) -> bool:
-    return is_strongly_connected(d) and cycle_gcd(d) == 1
+    """Strongly connected (checked once) with cycle gcd 1."""
+    return is_strongly_connected(d) and _level_gcd(d) == 1
 
 
 def exponent(d: Digraph) -> ExponentResult:

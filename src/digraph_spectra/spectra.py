@@ -476,47 +476,24 @@ def _stage_search(
     (so A[r][c'] == 0 and r != c' for all of them)."""
     full_rows = tuple(rows)
     full_cols = tuple(cols)
-    memo: dict[tuple[int, int], bool] = {}
-
-    def feasible(rmask: int, cmask: int) -> bool:
-        return _feasible(a, full_rows, full_cols, rmask, cmask, memo)
-
-    if not feasible((1 << len(rows)) - 1, (1 << len(cols)) - 1):
-        return None
-    # Rebuild one witness order greedily along feasible states.
-    order: list[tuple[int, int]] = []
+    memo: dict[tuple[int, int], tuple[int, int] | None] = {}
     rmask = (1 << len(rows)) - 1
     cmask = (1 << len(cols)) - 1
-    while rmask:
-        advanced = False
-        for ri, r in enumerate(full_rows):
-            if not (rmask >> ri) & 1:
-                continue
-            for ci, c in enumerate(full_cols):
-                if not (cmask >> ci) & 1:
-                    continue
-                if r == c or a[r - 1][c - 1] == 0:
-                    continue
-                rest_ok = all(
-                    not ((cmask >> cj) & 1)
-                    or cj == ci
-                    or (full_cols[cj] != r and a[r - 1][full_cols[cj] - 1] == 0)
-                    for cj in range(len(full_cols))
-                )
-                if rest_ok and feasible(rmask & ~(1 << ri), cmask & ~(1 << ci)):
-                    order.append((r, c))
-                    rmask &= ~(1 << ri)
-                    cmask &= ~(1 << ci)
-                    advanced = True
-                    break
-            if advanced:
-                break
-        assert advanced, "feasible state failed to advance"
+    if not _feasible(a, full_rows, full_cols, rmask, cmask, memo):
+        return None
+    order: list[tuple[int, int]] = []
+    while rmask:  # follow the first feasible step stored for each state
+        ri, ci = memo[(rmask, cmask)]
+        order.append((full_rows[ri], full_cols[ci]))
+        rmask &= ~(1 << ri)
+        cmask &= ~(1 << ci)
     return order
 
 
 def _feasible(a, full_rows, full_cols, rmask: int, cmask: int, memo: dict) -> bool:
     """Whether the remaining rows and columns can be staged to the end.
+    ``memo`` maps each state searched to its first feasible step
+    (ri, ci) in row-then-column order, or None when it has none.
 
     Module level rather than a closure in _stage_search: a closure that
     calls itself is a reference cycle, which would keep each search's
@@ -525,8 +502,8 @@ def _feasible(a, full_rows, full_cols, rmask: int, cmask: int, memo: dict) -> bo
         return True
     key = (rmask, cmask)
     if key in memo:
-        return memo[key]
-    ok = False
+        return memo[key] is not None
+    step = None
     for ri, r in enumerate(full_rows):
         if not (rmask >> ri) & 1:
             continue
@@ -544,9 +521,9 @@ def _feasible(a, full_rows, full_cols, rmask: int, cmask: int, memo: dict) -> bo
             if rest_ok and _feasible(
                 a, full_rows, full_cols, rmask & ~(1 << ri), cmask & ~(1 << ci), memo
             ):
-                ok = True
+                step = (ri, ci)
                 break
-        if ok:
+        if step is not None:
             break
-    memo[key] = ok
-    return ok
+    memo[key] = step
+    return step is not None

@@ -25,6 +25,9 @@ from .families import (
     InvalidParameter,
     build_family,
     closed_form_charpoly,
+    expected_exponent,
+    expected_no_walk_pair,
+    has_closed_form,
     table_specs,
 )
 from .polynomial import (
@@ -197,62 +200,6 @@ def _md_cell(value) -> str:
     return str(value)
 
 
-# -- expected exponent data -------------------------------------------
-
-
-def expected_exponent(family: str, n: int) -> int | None:
-    """Exponent the closed-form table claims, or None outside its
-    domain.  The fan/wheel formulas are tabulated for n >= 10 (several
-    genuinely fail below that, e.g. exp(kDF_6) = 11, not k+4 = 7); the
-    alternating-fan and cycle-complement values hold on their stated
-    ranges."""
-    k = n // 2
-    if family == "ADF":
-        if n == 5:
-            return 12
-        return 9 if (n % 2 == 1 and n >= 7) else None
-    if family == "DCc" and n >= 5:
-        return 2
-    if n < 10:
-        return None
-    if family == "PDF":
-        return n
-    if family == "kDF":
-        return k + 4 if n % 2 == 0 else k + 5
-    if family == "HDF":
-        return n + 1
-    if family == "ADW":
-        return 6 if n % 2 == 1 else 7
-    if family == "kDW":
-        return n + 3
-    return None
-
-
-def expected_no_walk_pair(family: str, n: int) -> tuple[int, int] | None:
-    """Vertex pair the exponent table asserts has no walk of length
-    exp - 1.  The PDF pair is recorded as stated even though it fails:
-    the hub loop gives the walk n-1 -> n -> 1 -> 1 ... 1 -> 2 of length
-    n - 1, so reports carry witness_zero_ok=False for every PDF row.
-    The genuinely zero row of PDF's A^(n-1) is row 2 (columns 2..n).
-    """
-    k = n // 2
-    if family == "ADF" and n % 2 == 1 and n >= 5:
-        return (n - 1, 3)
-    if n < 10:
-        return None
-    if family == "PDF":
-        return (n - 1, 2)
-    if family == "kDF":
-        return (k + 1, 2)
-    if family == "HDF":
-        return (2, n)
-    if family == "ADW":
-        return (n - 2, 2) if n % 2 == 1 else (n - 3, 2)
-    if family == "kDW":
-        return (k + 1, k + 2)
-    return None
-
-
 # -- row construction -------------------------------------------------
 
 
@@ -270,7 +217,7 @@ def build_row(table: str, spec: FamilySpec, cap: int | None = None) -> ReportRow
     if graph.n <= limit:
         row.ldsg_checked = True
         row.ldsg_agreement = charpoly_ldsg(graph, cap=limit) == psi
-    if spec.family != "Complement":
+    if has_closed_form(spec.family):
         closed = closed_form_charpoly(spec)
         row.closed_form = str(closed)
         row.charpoly_match = closed == psi

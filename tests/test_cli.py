@@ -8,6 +8,8 @@ Core claims:
       malformed digraph files, empty or reversed --n ranges and
       nonpositive caps (flag or DIGRAPH_SPECTRA_CAP) exit 1 with one
       error line and no traceback
+    - charpoly --method=all on a Complement spec reports a null closed
+      form; --method=closed-form on it exits 1 with one error line
     - a route disagreement exits 2 and names the first differing
       coefficient; agreeing output carries no such line or key
     - JSON output is deterministic, byte for byte
@@ -110,6 +112,24 @@ class TestCharpoly:
         rc, out, _ = run_cli(*argv, "--format=json")
         assert rc == 2
         assert json.loads(out)["first_difference"] == {"degree": 3, "exact": -1, "ldsg": 6}
+
+    def test_all_methods_on_complement_spec(self):
+        argv = ("charpoly", "family=Complement", "n=6", "inner=(family=DCn n=6)")
+        rc, out, err = run_cli(*argv, "--method=all")
+        assert rc == 0 and err == ""
+        assert "closed_form: (skipped)" in out
+        assert "'exact_ldsg': True, 'exact_closed_form': None" in out
+        rc, out, _ = run_cli(*argv, "--method=all", "--format=json")
+        doc = json.loads(out)
+        assert rc == 0 and doc["results"]["closed_form"] is None
+        assert doc["results"]["exact"] == doc["results"]["ldsg"]
+        assert "closed_form" not in doc["coeffs"]
+
+    def test_closed_form_method_on_complement_spec_exits_1(self):
+        argv = ("charpoly", "family=Complement", "n=6", "inner=(family=DCn n=6)")
+        rc, out, err = run_cli(*argv, "--method=closed-form")
+        assert rc == 1 and out == ""
+        assert err == "error: no closed form for family 'Complement'\n"
 
     def test_exact_only(self):
         rc, out, _ = run_cli("charpoly", "family=UDW", "n=4", "--method=exact")

@@ -12,7 +12,15 @@ Core claims:
     - no family ever produces parallel non-loop arcs; loops appear only
       in the loop-derived families
     - the even fan satisfies the x * (odd fan) recursion
+    - the registry's outputs (default table rows, their closed forms or
+      skip reasons, tabulated exponent data for n = 3..40, validate's
+      verdicts on a parameter grid) hash to a pinned SHA-256 digest
+    - the README's name block lists exactly FAMILY_NAMES
 """
+
+import hashlib
+import itertools
+from pathlib import Path
 
 import pytest
 
@@ -29,11 +37,13 @@ from digraph_spectra import (
     complement,
     complement_closed_form,
     cyclotomic,
+    expected_exponent,
+    expected_no_walk_pair,
     family_spec_from_json_dict,
     parse_family_spec,
     table_specs,
 )
-from digraph_spectra.families import DEFAULT_RANGES
+from digraph_spectra.families import _FAMILIES, DEFAULT_RANGES, validate
 
 X = IntPolynomial.x()
 
@@ -175,6 +185,14 @@ class TestSpecForms:
     def test_registry_names(self):
         assert "DCn" in FAMILY_NAMES and "Complement" in FAMILY_NAMES
         assert set(DEFAULT_RANGES) == set(TABLE_NAMES)
+
+    def test_readme_lists_the_registered_names(self):
+        """The README's name block, one group per line with its label
+        after a wide gap, lists exactly FAMILY_NAMES in order."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("The registered names:\n\n```\n", 1)[1].split("```", 1)[0]
+        names = [name for line in block.splitlines() for name in line.split("  ")[0].split()]
+        assert tuple(names) == FAMILY_NAMES
 
 
 class TestValidation:
@@ -356,3 +374,76 @@ class TestStructuralInvariants:
     def test_exponent_table_has_complement_rows(self):
         families = {s.family for s in table_specs("exponents", 10, 12)}
         assert "DCc" in families and "PDF" in families
+
+
+# -- registry pin -----------------------------------------------------
+
+_PIN_GRID = {
+    "j": (None, 0, 1, 3, 9),
+    "m": (None, 0, 1, 3, 4),
+    "tips": (None, (), (2, 4), (1, 1), (8,)),
+    "arcs": (None, (), (2, 4), (3, 3), (1,)),
+}
+_PIN_INNERS = (
+    None,
+    FamilySpec("DCn", 5),
+    FamilySpec("DCn", 6),
+    FamilySpec("UDW", 3),
+    FamilySpec("Complement", 5, inner=FamilySpec("ADF", 5)),
+)
+_REGISTRY_DIGEST = "7663a3e93625a39b01f2b810bcdb9ea245ad712d11cd44e0d9a74cd2ab044ddf"
+
+
+def _verdict(check, spec) -> str:
+    try:
+        out = check(spec)
+    except InvalidParameter as err:
+        return f"reject: {err}"
+    return "accept" if out is None else str(out)
+
+
+def _registry_listing() -> list[str]:
+    """Every output the family registry determines: the default table
+    rows, their closed forms (or skip reasons), the tabulated exponent
+    data for n = 3..40 and validate's verdict on a parameter grid."""
+    lines = []
+    specs = []
+    for table in TABLE_NAMES:
+        for spec in table_specs(table, *DEFAULT_RANGES[table]):
+            lines.append(f"{table}|{spec.to_text()}")
+            specs.append(spec)
+    for spec in specs:
+        lines.append(f"closed|{spec.to_text()}|{_verdict(closed_form_charpoly, spec)}")
+    for family in FAMILY_NAMES:
+        for n in range(3, 41):
+            lines.append(
+                f"exp|{family}|{n}|{expected_exponent(family, n)}"
+                f"|{expected_no_walk_pair(family, n)}"
+            )
+    for family in FAMILY_NAMES + ("Nope",):
+        for n in (1, 2, 3, 4, 5, 6, 9):
+            for j, m, tips, arcs in itertools.product(*_PIN_GRID.values()):
+                spec = FamilySpec(family, n, j=j, m=m, tips=tips, arcs=arcs)
+                lines.append(f"valid|{spec!r}|{_verdict(validate, spec)}")
+            for inner, j in itertools.product(_PIN_INNERS, (None, 1)):
+                spec = FamilySpec(family, n, j=j, inner=inner)
+                lines.append(f"valid|{spec!r}|{_verdict(validate, spec)}")
+    return lines
+
+
+class TestRegistryPin:
+    def test_listing_digest(self):
+        """The registry's outputs hash to the value captured before the
+        per-family dispatch became one registry; on a mismatch the
+        listing is printed for a diff against that revision."""
+        lines = _registry_listing()
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        if digest != _REGISTRY_DIGEST:
+            print("\n".join(lines))
+        assert sum(line.count("|") == 1 for line in lines) == 589
+        assert digest == _REGISTRY_DIGEST
+
+    def test_records_name_only_report_tables(self):
+        """A table misspelt in a record would drop its rows silently."""
+        named = {table for family in _FAMILIES.values() for table in family.tables}
+        assert named == set(TABLE_NAMES)

@@ -26,8 +26,11 @@ Core claims:
     - Cayley-Hamilton: the characteristic polynomial annihilates A
     - a triangular certificate, when found, is sound by direct check
       and always implies non-derogatory; absence implies nothing
+    - the certificate search reports the first staging in search order,
+      as a plain depth-first search without memo finds it
 """
 
+import itertools
 import random
 
 import pytest
@@ -591,6 +594,41 @@ def _certificate_is_sound(d, cert):
     return True
 
 
+def _first_staging(a, rows, cols):
+    """The first staging in row-then-column order, found by a plain
+    depth-first search without memo: the order the certificate search
+    must report."""
+    if not rows:
+        return []
+    for r in rows:
+        for c in cols:
+            if r == c or a[r - 1][c - 1] == 0:
+                continue
+            if any(c2 != c and (c2 == r or a[r - 1][c2 - 1]) for c2 in cols):
+                continue
+            rest = _first_staging(
+                a, [x for x in rows if x != r], [x for x in cols if x != c]
+            )
+            if rest is not None:
+                return [(r, c)] + rest
+    return None
+
+
+def _reference_certificate(d):
+    a = d.adjacency_matrix()
+    vertices = list(range(1, d.n + 1))
+    for removed_row in vertices:
+        for removed_col in vertices:
+            if removed_row == removed_col:
+                continue
+            rows = [v for v in vertices if v != removed_row]
+            cols = [v for v in vertices if v != removed_col]
+            order = _first_staging(a, rows, cols)
+            if order is not None:
+                return removed_row, removed_col, [r for r, _ in order], [c for _, c in order]
+    return None
+
+
 class TestTriangularCertificate:
     def test_superdiagonal_pattern(self):
         # the n=4 pattern with a single return arc is the 4-cycle
@@ -625,3 +663,30 @@ class TestTriangularCertificate:
             assert _certificate_is_sound(graph, cert), spec.to_text()
             assert is_non_derogatory(graph), spec.to_text()
         assert found > 20
+
+    def test_stage_order_follows_the_stored_first_steps(self):
+        """The memo's stored steps, followed from the full state, give
+        exactly the first staging in search order: a skipped or
+        reordered step changes the order or its length."""
+        rng = random.Random(20260)
+        feasible = 0
+        for _ in range(100):
+            n = rng.randint(3, 7)
+            a = [[int(rng.random() < 0.1) for _ in range(n)] for _ in range(n)]
+            for i in range(1, n):
+                a[i - 1][i] = 1  # a path keeps many stagings feasible
+            for removed_row, removed_col in itertools.permutations(range(1, n + 1), 2):
+                rows = [v for v in range(1, n + 1) if v != removed_row]
+                cols = [v for v in range(1, n + 1) if v != removed_col]
+                want = _first_staging(a, rows, cols)
+                assert spectra._stage_search(a, rows, cols) == want, (a, rows, cols)
+                feasible += want is not None and len(want) > 1
+        assert feasible > 50
+
+    def test_certificates_match_the_reference_search(self):
+        for spec, graph in _family_sweep(8):
+            cert = triangular_certificate(graph)
+            got = cert and (
+                cert.removed_row, cert.removed_col, list(cert.row_order), list(cert.col_order)
+            )
+            assert got == _reference_certificate(graph), spec.to_text()
