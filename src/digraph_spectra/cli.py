@@ -60,7 +60,10 @@ def _emit_doc(doc: dict, args) -> None:
 
 def _parse_n_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    bounds = (int(lo), int(hi)) if sep else (int(text), int(text))
+    try:
+        bounds = (int(lo), int(hi)) if sep else (int(text), int(text))
+    except ValueError:
+        raise ValueError(f"--n range must be n or lo..hi with integers, got {text!r}") from None
     if bounds[0] < 1 or bounds[0] > bounds[1]:
         raise ValueError(f"--n range must satisfy 1 <= lo <= hi, got {text!r}")
     return bounds
@@ -186,7 +189,7 @@ def _first_difference(a: list[int], b: list[int]) -> tuple[int, int, int] | None
 
 
 def cmd_verify(args) -> int:
-    n_range = _parse_n_range(args.n) if args.n else None
+    n_range = _parse_n_range(args.n) if args.n is not None else None
     report = build_report(args.table, n_range=n_range, cap=args.cap)
     if args.format == "json":
         text = report.to_json_doc() + "\n"

@@ -679,10 +679,7 @@ def complement_closed_form(kind: str, n: int) -> IntPolynomial:
     cyclotomic polynomials under a linear substitution."""
     if kind not in ("DCc", "UDWc"):
         raise InvalidParameter(f"unknown complement kind {kind!r}, expected DCc or UDWc")
-    family = _FAMILIES[kind]
-    if n < family.n_min:
-        raise InvalidParameter(f"{kind} closed form needs n >= {family.n_min}, got n={n}")
-    return family.closed_form(n, n // 2, None)
+    return closed_form_charpoly(FamilySpec(kind, n))
 
 
 def table_specs(table: str, lo: int, hi: int) -> list[FamilySpec]:

@@ -7,7 +7,8 @@ helpers used elsewhere in the package:
 
 * cyclotomic polynomials by exact division of x^d - 1,
 * gcd over Q via a primitive pseudo-remainder sequence (result is
-  primitive with positive leading coefficient),
+  primitive with positive leading coefficient), unless a unit gcd mod a
+  prime already proves the inputs coprime,
 * gcd over F2 on bit-packed residues,
 * squarefree tests over Q and over F2 (the F2 verdict is one-directional:
   True implies squarefree over Q),
@@ -385,6 +386,8 @@ def cyclotomic(d: int) -> IntPolynomial:
 
 # -- gcds -------------------------------------------------------------
 
+MINPOLY_PRIME = 2**61 - 1  # the one modulus of the mod-P shortcuts here and in spectra
+
 
 def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a reduced mod b in Z."""
@@ -403,9 +406,19 @@ def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 def gcd_over_q(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     """gcd in Q[x], returned primitive in Z[x] with positive leading
-    coefficient; gcd(f, 0) = normalized f; both zero is an error."""
+    coefficient; gcd(f, 0) = normalized f; both zero is an error.
+
+    When deg f >= 1 and P = ``MINPOLY_PRIME`` does not divide lc(f), a
+    unit gcd of the reductions mod P proves the answer 1: a primitive
+    common factor h of degree >= 1 divides f in Z[x], so lc(h) divides
+    lc(f) and h mod P keeps its degree and divides both reductions.
+    (For g = f' this says the resultant of f and f' is nonzero mod P,
+    hence nonzero.)  Every other case runs the primitive pseudo-remainder
+    sequence, so the result is always the exact gcd."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
+    if f.degree >= 1 and f.leading_coefficient % MINPOLY_PRIME and _unit_gcd_mod_p(f, g):
+        return IntPolynomial.one()
     a = f.primitive_part()
     b = g.primitive_part()
     if a.degree < b.degree:
@@ -416,6 +429,30 @@ def gcd_over_q(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     if a.leading_coefficient < 0:
         a = -a
     return a
+
+
+def _unit_gcd_mod_p(f: IntPolynomial, g: IntPolynomial) -> bool:
+    """Whether gcd(f mod P, g mod P) is a nonzero constant, by Euclid
+    over Z/P on coefficient lists (constant term first); f mod P must
+    be nonzero."""
+    p = MINPOLY_PRIME
+    a = [c % p for c in f.coeffs]
+    b = [c % p for c in g.coeffs]
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) == 1
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        top = len(b) - 1
+        while len(a) > top:  # a <- a mod b, one leading term at a time
+            c = a.pop()
+            if c:
+                base = len(a) - top
+                for i in range(top):
+                    a[base + i] = (a[base + i] - c * b[i]) % p
+        a, b = b, a
 
 
 def _mod2_bits(f: IntPolynomial) -> int:

@@ -20,16 +20,13 @@ cross-check and is treated as a hard assertion by the verification
 pipeline.  The enumeration cap only selects which digraphs get the
 second route.
 
-The minimal polynomial is found modulo the prime P = 2^61 - 1 from
-Krylov sequences of unit vectors: m starts at 1 and, for j = 1, 2, ...,
-is multiplied by the minimal polynomial of the sequence of
-v = m(A) e_j, which makes it lcm(m, minpoly(e_j)); the search stops at
-degree n.  The coefficients are lifted to the symmetric range and
-certified over Z by checking m(A) e_j = 0 exactly for every processed
-j, which proves m(A) = 0 because those e_j either are all of them or
-have Krylov vectors spanning Q^n; only if that check fails does the
-search rerun with exact rationals.  A digraph is non-derogatory when
-the minimal polynomial has full degree n.
+The minimal polynomial is the characteristic polynomial as soon as
+e_1, A e_1, ..., A^(n-1) e_1 have rank n modulo the prime
+P = 2^61 - 1: a rank mod P never exceeds the rank over Q, so e_1 is then
+a cyclic vector.  Otherwise it is the lcm of the unit vectors' Krylov
+minimal polynomials mod P, lifted and certified over Z, with an exact
+rational rerun as the fallback.  A digraph is non-derogatory when the
+minimal polynomial has full degree n.
 
 :func:`triangular_certificate` searches for a sufficient witness: an
 ordered arc matching on n-1 rows and columns of xI - A whose staircase
@@ -44,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .digraph import Digraph, mat_mul
-from .polynomial import IntPolynomial
+from .polynomial import MINPOLY_PRIME, IntPolynomial
 
 DEFAULT_ENUMERATION_CAP = 12
 CAP_ENV_VAR = "DIGRAPH_SPECTRA_CAP"
@@ -276,13 +273,20 @@ def charpoly_ldsg(d: Digraph, cap: int | None = None) -> IntPolynomial:
 # -- minimal polynomial -----------------------------------------------
 
 
-MINPOLY_PRIME = 2**61 - 1
-
-
-def minimal_polynomial(d: Digraph) -> IntPolynomial:
+def minimal_polynomial(d: Digraph, charpoly: IntPolynomial | None = None) -> IntPolynomial:
     """Monic generator of the polynomials f with f(A) = 0.
 
-    Found modulo ``MINPOLY_PRIME`` from Krylov sequences of unit
+    First e_1, A e_1, ..., A^n e_1 are formed mod P = ``MINPOLY_PRIME``
+    and the first n are eliminated for their rank alone.  A minor of the
+    integer Krylov matrix that is nonzero mod P is nonzero, so rank n
+    mod P makes e_1 a cyclic vector over Q: A's minimal polynomial has
+    degree n and is the characteristic polynomial.  That is ``charpoly``
+    when given (the caller's ``charpoly_exact(d)``, whose Cayley-Hamilton
+    check is exact), else ``charpoly_exact(d)``.  A given ``charpoly``
+    must be monic of degree n with charpoly(A) e_1 = 0 mod P, checked on
+    the same vectors, or ValueError is raised.
+
+    Below rank n the search runs modulo P from Krylov sequences of unit
     vectors (Wiedemann 1986).  For j = 1, 2, ... the search forms
     v = m(A) e_j, finds the minimal polynomial g of v's sequence
     v, Av, A^2 v, ... and replaces m by m g.  Since g is the minimal
@@ -302,6 +306,18 @@ def minimal_polynomial(d: Digraph) -> IntPolynomial:
     degree dropped mod P, or a true coefficient lies outside the lift
     range), the search reruns with exact rationals.
     """
+    n = d.n
+    succ = [[(h - 1, w) for h, w in d.successors(v)] for v in range(1, n + 1)]
+    rank, krylov = _krylov_rank_mod_p(succ)
+    if charpoly is not None:
+        cs = [c % MINPOLY_PRIME for c in charpoly.coeffs]
+        if not (charpoly.is_monic and charpoly.degree == n) or any(
+            sum([c * vec[i] for c, vec in zip(cs, krylov)]) % MINPOLY_PRIME
+            for i in range(n)
+        ):
+            raise ValueError(f"{charpoly} is not the characteristic polynomial of the digraph")
+    if rank == n:
+        return charpoly if charpoly is not None else charpoly_exact(d)
     m, processed = _minimal_polynomial_mod_p(d)
     if not _annihilates(m, d, processed):
         m = _minimal_polynomial_rational(d)
@@ -309,6 +325,30 @@ def minimal_polynomial(d: Digraph) -> IntPolynomial:
             "rational minimal polynomial does not annihilate A"
         )
     return m
+
+
+def _krylov_rank_mod_p(succ: list) -> tuple[int, list[list[int]]]:
+    """Rank mod P of e_1, A e_1, ..., A^(n-1) e_1, and those vectors
+    with A^n e_1: one echelon basis, no record of the combinations."""
+    p = MINPOLY_PRIME
+    n = len(succ)
+    v = [1] + [0] * (n - 1)
+    krylov = [v]
+    for _ in range(n):
+        v = [sum([w * v[h] for h, w in row]) % p for row in succ]
+        krylov.append(v)
+    basis: list[tuple[int, list[int]]] = []  # (pivot, vec with 1 at pivot)
+    for vec in krylov[:n]:
+        for pivot, bvec in basis:
+            f = vec[pivot]
+            if f:
+                vec = [(x - f * y) % p for x, y in zip(vec, bvec)]
+        pivot = next((idx for idx, x in enumerate(vec) if x), None)
+        if pivot is None:  # every later power lies in the span too
+            break
+        inv = pow(vec[pivot], -1, p)
+        basis.append((pivot, [x * inv % p for x in vec]))
+    return len(basis), krylov
 
 
 def _minimal_polynomial_mod_p(d: Digraph) -> tuple[IntPolynomial, range]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from .digraph import Digraph
 from .exponents import exponent as compute_exponent
@@ -77,7 +77,16 @@ class ReportRow:
     witness_zero_ok: bool | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields in declaration order, lists copied: what
+        ``dataclasses.asdict`` returns, without its recursive deep copy."""
+        values = [getattr(self, name) for name in _ROW_FIELDS]
+        return {
+            name: list(value) if isinstance(value, list) else value
+            for name, value in zip(_ROW_FIELDS, values)
+        }
+
+
+_ROW_FIELDS = tuple([f.name for f in fields(ReportRow)])
 
 
 @dataclass
@@ -222,7 +231,7 @@ def build_row(table: str, spec: FamilySpec, cap: int | None = None) -> ReportRow
         row.closed_form = str(closed)
         row.charpoly_match = closed == psi
     if deep:
-        mp = minimal_polynomial(graph)
+        mp = minimal_polynomial(graph, charpoly=psi)
         row.min_poly = str(mp)
         row.min_poly_degree = mp.degree
         row.non_derogatory = mp.degree == graph.n

@@ -5,8 +5,8 @@ Core claims:
     - nested Complement specs parse; invalid specs (an unbalanced
       inner=( group and a repeated key among them), parameters and files
       exit 1 with an error line;
-      malformed digraph files, empty or reversed --n ranges and
-      nonpositive caps (flag or DIGRAPH_SPECTRA_CAP) exit 1 with one
+      malformed digraph files, empty, reversed or non-integer --n
+      ranges and nonpositive caps (flag or DIGRAPH_SPECTRA_CAP) exit 1 with one
       error line and no traceback
     - charpoly --method=all on a Complement spec reports a null closed
       form; --method=closed-form on it exits 1 with one error line
@@ -319,6 +319,13 @@ class TestBadInput:
     def test_empty_or_nonpositive_n_range(self, n_range):
         proc = run_process("verify", "--table=cdf", f"--n={n_range}")
         self._assert_one_line_error(proc, "--n range")
+
+    @pytest.mark.parametrize("n_range", ["", "3..x", "..4"])
+    def test_malformed_n_range(self, n_range):
+        proc = run_process("verify", "--table=cdf", f"--n={n_range}")
+        self._assert_one_line_error(
+            proc, f"--n range must be n or lo..hi with integers, got {n_range!r}"
+        )
 
     @pytest.mark.parametrize(
         "argv",

@@ -7,7 +7,9 @@ Core claims:
       parameters raise a ValueError subclass with a reason
     - constructed arc sets match the worked instances exactly
     - closed_form_charpoly agrees with the computed polynomial on the
-      spot-checked instances and on a sweep of every family
+      spot-checked instances and on a sweep of every family;
+      complement_closed_form is closed_form_charpoly for DCc and UDWc
+      and rejects n below the bound with the registry's text
     - chorded-cycle families have all non-leading coefficients <= 0
     - no family ever produces parallel non-loop arcs; loops appear only
       in the loop-derived families
@@ -332,6 +334,12 @@ class TestClosedForms:
     def test_complement_closed_form_bad_kind(self):
         with pytest.raises(ValueError):
             complement_closed_form("ADFc", 6)
+
+    def test_complement_closed_form_n_bound_is_the_registry_text(self):
+        with pytest.raises(InvalidParameter, match=r"^DCc needs n >= 5, got n=4$"):
+            complement_closed_form("DCc", 4)
+        for kind, n in (("DCc", 7), ("UDWc", 9)):
+            assert complement_closed_form(kind, n) == closed_form_charpoly(FamilySpec(kind, n))
 
 
 # -- structural invariants --------------------------------------------

@@ -8,7 +8,10 @@ Core claims:
       integer long division agrees with rational long division
     - cyclotomic(d) satisfies prod_{d|n} Phi_d = x^n - 1 for n <= 30
     - gcd over Q is primitive with positive leading coefficient and
-      divides both inputs exactly
+      divides both inputs exactly; its unit-gcd-mod-P early exit agrees
+      with the plain primitive PRS on seeded pairs, non-primitive
+      inputs, constants and inputs whose leading coefficient or whole
+      second argument vanishes mod P
     - gcd over F2 works on bit-packed images; both-zero input is an error
     - squarefree tests over Q and F2, and F2-squarefree implies
       Q-squarefree on every family polynomial with n <= 14
@@ -44,7 +47,12 @@ from digraph_spectra import (
     perron_irreducible,
     perron_margin,
 )
-from digraph_spectra.polynomial import _interp_points, _lagrange
+from digraph_spectra.polynomial import (
+    MINPOLY_PRIME as P,
+    _interp_points,
+    _lagrange,
+    _unit_gcd_mod_p,
+)
 
 X = IntPolynomial.x()
 ONE = IntPolynomial.one()
@@ -323,6 +331,84 @@ class TestGcdQ:
                             continue
                         if _divides_over_q(cand, f) and _divides_over_q(cand, g):
                             assert _divides_over_q(cand, d)
+
+
+class TestGcdQModularShortcut:
+    """The unit-gcd-mod-P early exit against the plain primitive PRS."""
+
+    @staticmethod
+    def _pairs():
+        rng = random.Random(90210)
+
+        def rand_poly(lo, hi):
+            return IntPolynomial(
+                tuple(rng.randint(-9, 9) for _ in range(rng.randint(lo, hi)))
+            )
+
+        pairs = []
+        for _ in range(150):
+            common = rand_poly(1, 4) if rng.random() < 0.5 else ONE
+            f = rand_poly(1, 7) * common * rng.choice([1, -1, 6, -15])
+            g = rand_poly(1, 7) * common * rng.choice([1, 4, -21])
+            pairs.append((f, g))
+        for f in [rand_poly(2, 6) for _ in range(40)]:
+            pairs.append((f, f.derivative()))
+            pairs.append((f * f, (f * f).derivative()))
+        pairs += [
+            (_poly(7), _poly(3)),
+            (_poly(5), X),
+            (X, _poly(5)),
+            (_poly(0, 4), _poly(-6)),
+            (IntPolynomial.zero(), _poly(6, 4)),
+            (_poly(2, 4), IntPolynomial.zero()),
+            # lc(f) = P: the reductions are x and 1, the true gcd is Px + 1
+            ((P * X + 1) * X, P * X + 1),
+            # g vanishes mod P, so the gcd mod P is f mod P itself
+            (X * X - 1, P * (X - 1)),
+            (X * X - 1, P * (X + 2)),
+            (_poly(3, 1), _poly(P)),
+        ]
+        return [(f, g) for f, g in pairs if not (f.is_zero and g.is_zero)]
+
+    def test_matches_the_primitive_prs(self):
+        for f, g in self._pairs():
+            assert gcd_over_q(f, g) == _reference_gcd_over_q(f, g), (f, g)
+
+    def test_leading_coefficient_divisible_by_p_skips_the_shortcut(self):
+        f, g = (P * X + 1) * X, P * X + 1
+        assert _unit_gcd_mod_p(f, g)  # the reductions x and 1 are coprime
+        assert gcd_over_q(f, g) == P * X + 1
+
+    def test_unit_gcd_mod_p_on_shared_and_coprime_factors(self):
+        assert not _unit_gcd_mod_p(X * X - 1, X - 1)
+        assert not _unit_gcd_mod_p(X * X - 1, P * (X + 2))
+        assert _unit_gcd_mod_p(X * X - 1, X + 2)
+        assert _unit_gcd_mod_p(X, _poly(5))
+
+
+def _reference_pseudo_rem(a, b):
+    lead = b.leading_coefficient
+    d = b.degree
+    scale_left = a.degree - d + 1
+    r = a
+    while not r.is_zero and r.degree >= d:
+        r = r * lead - b * IntPolynomial.monomial(r.degree - d, r.leading_coefficient)
+        scale_left -= 1
+    if scale_left > 0:
+        r = r * (lead**scale_left)
+    return r
+
+
+def _reference_gcd_over_q(f, g):
+    """The primitive pseudo-remainder sequence alone, with no modular
+    early exit."""
+    a = f.primitive_part()
+    b = g.primitive_part()
+    if a.degree < b.degree:
+        a, b = b, a
+    while not b.is_zero:
+        a, b = b, _reference_pseudo_rem(a, b).primitive_part()
+    return -a if a.leading_coefficient < 0 else a
 
 
 def _divides_over_q(d, f):

@@ -22,7 +22,13 @@ Core claims:
       sympy factor-and-rank oracle, joins unit vectors by lcm when e_1
       is not cyclic, and inputs whose reduction mod P misleads it are
       caught by the Z certificate
-    - squarefree characteristic polynomial implies non-derogatory
+    - Krylov rank n of e_1 mod P returns the characteristic polynomial
+      without the lcm search, with or without the caller's charpoly
+      (both forms checked against the rational elimination); a wrong
+      charpoly raises; the derogatory 3-cycle plus looped vertex
+      (e_1 of rank n - 1) still gets x^3 - 1 from the certified search
+    - squarefree characteristic polynomial implies non-derogatory, and
+      the non-derogatory verdict never calls the squarefree test
     - Cayley-Hamilton: the characteristic polynomial annihilates A
     - a triangular certificate, when found, is sound by direct check
       and always implies non-derogatory; absence implies nothing
@@ -32,6 +38,7 @@ Core claims:
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -428,12 +435,15 @@ class TestModularMinimalPolynomial:
         rng = random.Random(6161)
         for _ in range(70):
             d = _random_loop_digraph(rng, rng.randint(1, 7))
-            assert minimal_polynomial(d) == spectra._minimal_polynomial_rational(d)
+            expected = spectra._minimal_polynomial_rational(d)
+            assert minimal_polynomial(d) == expected
+            assert minimal_polynomial(d, charpoly_exact(d)) == expected
 
     def test_matches_rational_on_family_sweep(self):
         for spec, graph in _family_sweep(9):
             expected = spectra._minimal_polynomial_rational(graph)
             assert minimal_polynomial(graph) == expected, spec.to_text()
+            assert minimal_polynomial(graph, charpoly_exact(graph)) == expected, spec.to_text()
             # the modular search alone gets it right: no fallback needed
             modular, _ = spectra._minimal_polynomial_mod_p(graph)
             assert modular == expected, spec.to_text()
@@ -494,6 +504,79 @@ class TestModularMinimalPolynomial:
             spectra, "_minimal_polynomial_mod_p", lambda _: (bogus, range(1, 2))
         )
         assert str(minimal_polynomial(d)) == WORKED
+        # e_1 is cyclic above, so the search never runs; below it does,
+        # and the Z certificate still catches the wrong answer
+        wrong = IntPolynomial.monomial(3) - 2
+        monkeypatch.setattr(
+            spectra, "_minimal_polynomial_mod_p", lambda _: (wrong, range(1, 2))
+        )
+        assert minimal_polynomial(THREE_CYCLE_AND_LOOP) == IntPolynomial((-1, 0, 0, 1))
+
+
+def _successor_rows(d):
+    return [[(h - 1, w) for h, w in d.successors(v)] for v in range(1, d.n + 1)]
+
+
+# a 3-cycle and a looped vertex 4: eigenvalue 1 twice, e_1 of Krylov rank 3
+THREE_CYCLE_AND_LOOP = build_digraph(4, [(1, 2), (2, 3), (3, 1), (4, 4)])
+
+
+class TestCyclicVectorShortcut:
+    """Krylov rank n of e_1 mod P returns the characteristic polynomial;
+    below rank n the lcm search and its Z certificate run as before."""
+
+    def test_rank_n_rows_skip_the_lcm_search(self, monkeypatch):
+        def unused(*_):
+            raise AssertionError("lcm search ran on a cyclic e_1")
+
+        cyclic = [
+            (spec, graph)
+            for spec, graph in _family_sweep(9)
+            if spectra._krylov_rank_mod_p(_successor_rows(graph))[0] == graph.n
+        ]
+        assert len(cyclic) > 100
+        monkeypatch.setattr(spectra, "_minimal_polynomial_mod_p", unused)
+        monkeypatch.setattr(spectra, "_annihilates", unused)
+        for spec, graph in cyclic:
+            psi = charpoly_exact(graph)
+            assert minimal_polynomial(graph, charpoly=psi) == psi, spec.to_text()
+            assert minimal_polynomial(graph) == psi, spec.to_text()
+
+    def test_krylov_rank_counts_every_power(self):
+        for n in range(1, 9):
+            cycle = build_digraph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+            assert spectra._krylov_rank_mod_p(_successor_rows(cycle))[0] == n
+        assert spectra._krylov_rank_mod_p(_successor_rows(THREE_CYCLE_AND_LOOP))[0] == 3
+
+    def test_derogatory_three_cycle_with_looped_vertex(self):
+        d = THREE_CYCLE_AND_LOOP
+        cube = IntPolynomial((-1, 0, 0, 1))
+        psi = charpoly_exact(d)
+        assert psi == cube * IntPolynomial((-1, 1))
+        assert minimal_polynomial(d) == cube
+        assert minimal_polynomial(d, charpoly=psi) == cube
+        assert not is_non_derogatory(d)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [build_family(FamilySpec("DCn_i_nmi", 8)), THREE_CYCLE_AND_LOOP],
+        ids=["cyclic e_1", "derogatory"],
+    )
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda psi: psi + 1,
+            lambda psi: psi - IntPolynomial.monomial(psi.degree - 1),
+            lambda psi: psi.shift(1),
+            lambda psi: 2 * psi,
+            lambda psi: -psi,
+        ],
+        ids=["plus 1", "second coefficient", "degree n+1", "not monic", "negated"],
+    )
+    def test_wrong_charpoly_raises(self, graph, wrong):
+        bad = wrong(charpoly_exact(graph))
+        with pytest.raises(ValueError, match="not the characteristic polynomial"):
+            minimal_polynomial(graph, bad)
 
 
 def _sympy_minimal_polynomial(sp, d):
@@ -568,6 +651,24 @@ class TestNonDerogatory:
         d = build_digraph(3, [(1, 1), (2, 2), (3, 3)])
         assert not is_non_derogatory(d)
         assert str(minimal_polynomial(d)) == "x - 1"
+
+    def test_verdicts_never_consult_squarefreeness(self, monkeypatch):
+        """Criterion 6 tests that squarefree implies non-derogatory, so
+        the verdict must not come from the squarefree test."""
+        sweep = list(_family_sweep(9))
+        expected = [minimal_polynomial(graph).degree == graph.n for _, graph in sweep]
+        assert not all(expected)
+
+        def forbidden(*_):
+            raise AssertionError("non-derogatory verdict consulted squarefreeness")
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("digraph_spectra"):
+                for name in ("gcd_over_q", "is_squarefree"):
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, forbidden)
+        verdicts = [is_non_derogatory(graph) for _, graph in sweep]
+        assert verdicts == expected
 
 
 # -- triangular certificate -------------------------------------------

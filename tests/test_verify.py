@@ -8,12 +8,15 @@ Core claims:
       witness discrepancy is the full-fan pair, never counted hard; the
       one-row walk count behind it equals the matrix power's entry
     - report serializations (JSON document, JSON lines, markdown, CSV,
-      text) are well formed and deterministic
+      text) are well formed and deterministic; a row's dict equals
+      dataclasses.asdict (keys, order, values) on all 589 default rows,
+      with its lists copied
     - the three distinct-eigenvalue methods return auditable
       certificates matching the worked instances
 """
 
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -153,6 +156,16 @@ class TestReportFormats:
         text = _cdf_small().to_text()
         assert "hard_failures=0" in text
         assert "SKIP" in text
+
+
+def test_row_dict_matches_dataclasses_asdict_on_the_default_tables():
+    rows = build_report("all").rows
+    assert len(rows) == 589
+    for row in rows:
+        got, want = row.to_dict(), dataclasses.asdict(row)
+        assert list(got.items()) == list(want.items()), row.spec
+        for key in ("witness_pair", "expected_no_walk_pair"):
+            assert got[key] is None or got[key] is not getattr(row, key)
 
 
 def test_json_doc_equals_whole_document_dump():
