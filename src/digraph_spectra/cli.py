@@ -3,9 +3,10 @@
 Subcommands: build, charpoly, verify, distinct, exponent, minpoly,
 nonderogatory.  Family instances are given as key=value tokens
 (``family=ADF n=7``); digraphs can also come from a file in the text or
-JSON serialization.  Exit codes: 0 success, 1 input error, 2 hard
-assertion failure (the two characteristic-polynomial routes disagree).
-JSON output is deterministic: sorted keys, compact separators.
+JSON serialization.  Exit codes: 0 success, 1 input or usage error (one
+``error:`` line on stderr), 2 hard assertion failure (the two
+characteristic-polynomial routes disagree).  JSON output is
+deterministic: sorted keys, compact separators.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .spectra import (
     charpoly_exact,
     charpoly_ldsg,
     minimal_polynomial,
-    resolve_enumeration_cap,
     triangular_certificate,
 )
 from .verify import DISTINCT_METHODS, build_report, distinctness_check
@@ -90,20 +90,11 @@ def _graph_from_args(args) -> tuple[Digraph, FamilySpec | None, str]:
     return build_family(spec), spec, spec.to_text()
 
 
-def _check_format(args, allowed: tuple[str, ...]) -> None:
-    if args.format not in allowed:
-        raise ValueError(
-            f"format {args.format!r} not supported here, expected one of {allowed}"
-        )
-
-
 # -- subcommands ------------------------------------------------------
 
 
 def cmd_build(args) -> int:
-    spec = _spec_from_args(args)
-    _check_format(args, ("text", "json"))
-    graph = build_family(spec)
+    graph = build_family(_spec_from_args(args))
     if args.format == "json":
         _emit(_dump_json(dg.to_json_dict(graph)) + "\n", args.out)
     else:
@@ -112,8 +103,6 @@ def cmd_build(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
-    _check_format(args, ("text", "json"))
-    limit = resolve_enumeration_cap(args.cap)  # a bad cap fails whatever the method
     graph, spec, source = _graph_from_args(args)
     method = args.method
     results: dict[str, str | None] = {}
@@ -123,12 +112,9 @@ def cmd_charpoly(args) -> int:
         results["exact"] = str(poly)
         coeffs["exact"] = poly.to_coeff_list()
     if method in ("ldsg", "all"):
-        if method == "all" and graph.n > limit:
-            results["ldsg"] = None
-        else:
-            poly = charpoly_ldsg(graph, cap=limit)
-            results["ldsg"] = str(poly)
-            coeffs["ldsg"] = poly.to_coeff_list()
+        poly = charpoly_ldsg(graph)
+        results["ldsg"] = str(poly)
+        coeffs["ldsg"] = poly.to_coeff_list()
     if method in ("closed-form", "all"):
         if spec is None and method == "closed-form":
             raise ValueError("closed-form method needs a family spec, not a file")
@@ -139,21 +125,15 @@ def cmd_charpoly(args) -> int:
             results["closed_form"] = str(poly)
             coeffs["closed_form"] = poly.to_coeff_list()
     known = {name: text for name, text in results.items() if text is not None}
-    hard_fail = (
-        "exact" in known and "ldsg" in known and known["exact"] != known["ldsg"]
-    )
+
+    def agree(a: str, b: str) -> bool | None:
+        return known[a] == known[b] if a in known and b in known else None
+
     agreement = {
-        "exact_ldsg": (
-            known["exact"] == known["ldsg"]
-            if "exact" in known and "ldsg" in known
-            else None
-        ),
-        "exact_closed_form": (
-            known["exact"] == known["closed_form"]
-            if "exact" in known and "closed_form" in known
-            else None
-        ),
+        "exact_ldsg": agree("exact", "ldsg"),
+        "exact_closed_form": agree("exact", "closed_form"),
     }
+    hard_fail = agreement["exact_ldsg"] is False
     diff = _first_difference(coeffs["exact"], coeffs["ldsg"]) if hard_fail else None
     if args.format == "json":
         doc = {
@@ -190,7 +170,7 @@ def _first_difference(a: list[int], b: list[int]) -> tuple[int, int, int] | None
 
 def cmd_verify(args) -> int:
     n_range = _parse_n_range(args.n) if args.n is not None else None
-    report = build_report(args.table, n_range=n_range, cap=args.cap)
+    report = build_report(args.table, n_range=n_range)
     if args.format == "json":
         text = report.to_json_doc() + "\n"
     elif args.format == "csv":
@@ -204,7 +184,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_distinct(args) -> int:
-    _check_format(args, ("text", "json"))
     spec = _spec_from_args(args)
     result = distinctness_check(spec, args.method)
     _emit_doc(result, args)
@@ -212,7 +191,6 @@ def cmd_distinct(args) -> int:
 
 
 def cmd_exponent(args) -> int:
-    _check_format(args, ("text", "json"))
     graph, _, source = _graph_from_args(args)
     result = compute_exponent(graph)
     doc = {
@@ -226,7 +204,6 @@ def cmd_exponent(args) -> int:
 
 
 def cmd_minpoly(args) -> int:
-    _check_format(args, ("text", "json"))
     graph, _, source = _graph_from_args(args)
     poly = minimal_polynomial(graph)
     doc = {
@@ -241,7 +218,6 @@ def cmd_minpoly(args) -> int:
 
 
 def cmd_nonderogatory(args) -> int:
-    _check_format(args, ("text", "json"))
     graph, _, source = _graph_from_args(args)
     poly = minimal_polynomial(graph)
     doc: dict = {
@@ -272,17 +248,26 @@ def cmd_nonderogatory(args) -> int:
 # -- parser -----------------------------------------------------------
 
 
-def _add_common(sub, spec_positional=True, file_option=False):
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become one ``error:`` line and exit 1 through
+    :func:`main`, rather than a usage block and exit 2, the code of a
+    route disagreement."""
+
+    def error(self, message):
+        raise ValueError(f"{message} (usage: {self.prog} --help)")
+
+
+def _add_common(sub, spec_positional=True, file_option=False, formats=("text", "json")):
     if spec_positional:
         sub.add_argument("spec", nargs="*", help="family spec tokens, e.g. family=ADF n=7")
     if file_option:
         sub.add_argument("--file", help="digraph file (text or JSON serialization)")
-    sub.add_argument("--format", default="text", choices=("text", "json", "csv", "md"))
+    sub.add_argument("--format", default="text", choices=formats)
     sub.add_argument("--out", help="write output to this path instead of stdout")
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="digraph-spectra",
         description="Exact spectra, certificates and exponents for structured digraph families",
     )
@@ -295,15 +280,12 @@ def make_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("charpoly", help="characteristic polynomial by one or all routes")
     _add_common(p, file_option=True)
     p.add_argument("--method", default="exact", choices=_METHODS)
-    p.add_argument("--cap", type=int, help="linear-subgraph enumeration cap override")
     p.set_defaults(func=cmd_charpoly)
 
     p = subs.add_parser("verify", help="rebuild and cross-check the family tables")
     p.add_argument("--table", default="all", choices=(*TABLE_NAMES, "all"))
     p.add_argument("--n", help="n range a..b (default: per-table sweep)")
-    p.add_argument("--cap", type=int, help="linear-subgraph enumeration cap override")
-    p.add_argument("--format", default="text", choices=("text", "json", "csv", "md"))
-    p.add_argument("--out", help="write output to this path instead of stdout")
+    _add_common(p, spec_positional=False, formats=("text", "json", "csv", "md"))
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("distinct", help="distinct-eigenvalue verdict with certificate")
@@ -327,9 +309,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -17,8 +17,9 @@ Two independent routes to the characteristic polynomial:
 
 The two routes never share code, so their agreement is a real
 cross-check and is treated as a hard assertion by the verification
-pipeline.  The enumeration cap only selects which digraphs get the
-second route.
+pipeline.  Both run whenever asked; :func:`resolve_enumeration_cap` is
+only the verification pipeline's choice of which rows get the second
+route.
 
 The minimal polynomial is the characteristic polynomial as soon as
 e_1, A e_1, ..., A^(n-1) e_1 have rank n modulo the prime
@@ -47,31 +48,25 @@ DEFAULT_ENUMERATION_CAP = 12
 CAP_ENV_VAR = "DIGRAPH_SPECTRA_CAP"
 
 
-class TooLargeForEnumeration(ValueError):
-    """Vertex count exceeds the linear-subgraph enumeration cap."""
-
-
 class TooLargeForSearch(ValueError):
     """Vertex count exceeds the certificate search bound."""
 
 
-def resolve_enumeration_cap(cap: int | None = None) -> int:
-    """Explicit cap wins, then the environment variable, then the default.
+def resolve_enumeration_cap() -> int:
+    """The largest n whose verification rows get the second route:
+    ``DIGRAPH_SPECTRA_CAP`` if set, else the default.
 
     A cap below 1 is rejected: it would silently switch the second
-    route off for every digraph."""
-    source = "cap"
-    if cap is None:
-        env = os.environ.get(CAP_ENV_VAR)
-        if not env:
-            return DEFAULT_ENUMERATION_CAP
-        source = CAP_ENV_VAR
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}")
+    route off for every row."""
+    env = os.environ.get(CAP_ENV_VAR)
+    if not env:
+        return DEFAULT_ENUMERATION_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}")
     if cap < 1:
-        raise ValueError(f"{source} must be at least 1, got {cap}")
+        raise ValueError(f"{CAP_ENV_VAR} must be at least 1, got {cap}")
     return cap
 
 
@@ -224,7 +219,7 @@ def enumerate_ldsgs(d: Digraph, i: int) -> list[Ldsg]:
     return found
 
 
-def charpoly_ldsg(d: Digraph, cap: int | None = None) -> IntPolynomial:
+def charpoly_ldsg(d: Digraph) -> IntPolynomial:
     """det(xI - A) from the signed count of linear directed subgraphs:
     the coefficient of x^(n-i) is the sum over ldsgs on i vertices of
     (-1)^components * weight.
@@ -240,13 +235,8 @@ def charpoly_ldsg(d: Digraph, cap: int | None = None) -> IntPolynomial:
     clows_h[l] is the weight of the length-l clows with head h: walks
     are pushed through the successor lists, O(n^2 * arcs) integer work
     in all, and no linear algebra is shared with the trace recursion.
-    The cap only selects which digraphs get this route.
+    There is no size limit.
     """
-    limit = resolve_enumeration_cap(cap)
-    if d.n > limit:
-        raise TooLargeForEnumeration(
-            f"n={d.n} exceeds the enumeration cap {limit}; raise the cap to force"
-        )
     n = d.n
     coeffs = [1] + [0] * n  # coeffs[i]: coefficient of x^(n-i)
     for h in range(1, n + 1):

@@ -1,12 +1,14 @@
 """Verification reports over the family tables.
 
 A report row rebuilds one family instance, recomputes its invariants
-(characteristic polynomial by both routes, closed form, minimal
-polynomial, squarefree and irreducibility checks, primitivity and
-exponent), and records agreement flags.  Disagreement between the two
-characteristic-polynomial routes is a hard failure; a closed-form
-mismatch is ordinary report material.  Instances whose parameters are
-degenerate at a given n become skip rows with the reason string.
+(characteristic polynomial by the trace recursion, and by the clow
+route too when n is at most :func:`resolve_enumeration_cap`, closed
+form, minimal polynomial, squarefree and irreducibility checks,
+primitivity and exponent), and records agreement flags.  Disagreement
+between the two characteristic-polynomial routes is a hard failure; a
+closed-form mismatch is ordinary report material.  Instances whose
+parameters are degenerate at a given n become skip rows with the reason
+string.
 """
 
 from __future__ import annotations
@@ -125,11 +127,6 @@ class VerificationReport:
         rows = ",".join(_dump_json(r.to_dict()) for r in self.rows)
         return f'{{"rows":[{rows}],"summary":{_dump_json(self.summary)}}}'
 
-    def to_json_lines(self) -> str:
-        lines = [_dump_json(r.to_dict()) for r in self.rows]
-        lines.append(_dump_json({"summary": self.summary}))
-        return "\n".join(lines) + "\n"
-
     _MD_COLUMNS = (
         "table",
         "spec",
@@ -212,7 +209,7 @@ def _md_cell(value) -> str:
 # -- row construction -------------------------------------------------
 
 
-def build_row(table: str, spec: FamilySpec, cap: int | None = None) -> ReportRow:
+def build_row(table: str, spec: FamilySpec) -> ReportRow:
     row = ReportRow(table=table, spec=spec.to_text(), family=spec.family, n=spec.n)
     try:
         graph = build_family(spec)
@@ -222,10 +219,9 @@ def build_row(table: str, spec: FamilySpec, cap: int | None = None) -> ReportRow
     deep = table != "exponents"
     psi = charpoly_exact(graph)
     row.computed_charpoly = str(psi)
-    limit = resolve_enumeration_cap(cap)
-    if graph.n <= limit:
+    if graph.n <= resolve_enumeration_cap():
         row.ldsg_checked = True
-        row.ldsg_agreement = charpoly_ldsg(graph, cap=limit) == psi
+        row.ldsg_agreement = charpoly_ldsg(graph) == psi
     if has_closed_form(spec.family):
         closed = closed_form_charpoly(spec)
         row.closed_form = str(closed)
@@ -271,12 +267,10 @@ def _walks(d: Digraph, k: int, i: int, j: int) -> int:
     return row[j - 1]
 
 
-def build_report(
-    tables, n_range: tuple[int, int] | None = None, cap: int | None = None
-) -> VerificationReport:
+def build_report(tables, n_range: tuple[int, int] | None = None) -> VerificationReport:
     """Rows for the requested tables (name list or 'all'); n_range
     overrides each table's default sweep."""
-    cap = resolve_enumeration_cap(cap)  # a bad cap fails even if no row needs it
+    resolve_enumeration_cap()  # a bad DIGRAPH_SPECTRA_CAP fails even if no row is built
     if tables == "all":
         tables = list(TABLE_NAMES)
     elif isinstance(tables, str):
@@ -287,7 +281,7 @@ def build_report(
             raise ValueError(f"unknown table {table!r}, expected one of {TABLE_NAMES}")
         lo, hi = n_range if n_range is not None else DEFAULT_RANGES[table]
         for spec in table_specs(table, lo, hi):
-            rows.append(build_row(table, spec, cap=cap))
+            rows.append(build_row(table, spec))
     return VerificationReport(rows=rows)
 
 

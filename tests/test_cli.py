@@ -6,8 +6,13 @@ Core claims:
       inner=( group and a repeated key among them), parameters and files
       exit 1 with an error line;
       malformed digraph files, empty, reversed or non-integer --n
-      ranges and nonpositive caps (flag or DIGRAPH_SPECTRA_CAP) exit 1 with one
+      ranges and a nonpositive DIGRAPH_SPECTRA_CAP exit 1 with one
       error line and no traceback
+    - usage errors (unknown subcommand, option or choice, a --format the
+      subcommand does not offer, a leftover --cap) return 1 from main
+      with one error line, not argparse's exit 2; --help exits 0
+    - charpoly runs every route it is asked for at any n; only verify
+      rows above DIGRAPH_SPECTRA_CAP (default 12) skip the second route
     - charpoly --method=all on a Complement spec reports a null closed
       form; --method=closed-form on it exits 1 with one error line
     - a route disagreement exits 2 and names the first differing
@@ -20,6 +25,7 @@ Core claims:
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from subprocess import CompletedProcess
 
 import pytest
 
@@ -98,8 +104,8 @@ class TestCharpoly:
     def test_disagreement_names_first_difference(self, monkeypatch):
         real = cli.charpoly_ldsg
 
-        def perturbed(d, cap=None):
-            coeffs = real(d, cap=cap).to_coeff_list()
+        def perturbed(d):
+            coeffs = real(d).to_coeff_list()
             coeffs[1] += 2
             coeffs[3] += 7  # the highest differing degree is named
             return IntPolynomial(coeffs)
@@ -149,21 +155,13 @@ class TestCharpoly:
         rc, out, _ = run_cli("charpoly", f"--file={path}", "--method=exact")
         assert rc == 0 and "x^4 - 1" in out
 
-    def test_enumeration_cap_exits_1(self, tmp_path):
-        rc, built, _ = run_cli("build", "family=DCn", "n=20", "--format=json")
-        path = tmp_path / "big.json"
-        path.write_text(built)
-        rc, _, err = run_cli("charpoly", f"--file={path}", "--method=ldsg")
-        assert rc == 1 and "cap" in err
-
-    def test_cap_flag_raises_limit(self, tmp_path):
-        rc, built, _ = run_cli("build", "family=DCn", "n=13", "--format=json")
-        path = tmp_path / "g13.json"
-        path.write_text(built)
-        rc, out, _ = run_cli(
-            "charpoly", f"--file={path}", "--method=ldsg", "--cap=13"
-        )
-        assert rc == 0 and "x^13 - 1" in out
+    def test_all_routes_above_the_verify_cap(self):
+        rc, out, err = run_cli("charpoly", "family=DCc", "n=20", "--method=all")
+        assert rc == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0].startswith("exact: x^20 - 170x^18")
+        assert lines[1] == "ldsg: " + lines[0][len("exact: "):]
+        assert "'exact_ldsg': True" in lines[-1]
 
     def test_missing_file_exits_1(self):
         rc, _, err = run_cli("charpoly", "--file=/no/such/file")
@@ -192,6 +190,16 @@ class TestVerify:
         a = run_cli("verify", "--table=cdf", "--n=4..6", "--format=json")
         b = run_cli("verify", "--table=cdf", "--n=4..6", "--format=json")
         assert a == b
+
+    def test_cap_env_lowers_dual_checked_rows(self, monkeypatch):
+        def ldsg_checked():
+            rc, out, _ = run_cli("verify", "--table=cdf", "--format=json")
+            assert rc == 0
+            return json.loads(out)["summary"]["ldsg_checked"]
+
+        default = ldsg_checked()
+        monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "4")
+        assert 0 < ldsg_checked() < default
 
     def test_markdown_format(self):
         rc, out, _ = run_cli("verify", "--table=cdw", "--n=5..6", "--format=md")
@@ -328,25 +336,38 @@ class TestBadInput:
         )
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ("verify", "--table=cdc", "--n=5..5", "--cap=-3"),
-            ("verify", "--table=cdc", "--n=5..5", "--cap=0"),
-            ("charpoly", "family=DCn", "n=4", "--method=all", "--cap=-3"),
-            ("charpoly", "family=DCn", "n=4", "--method=exact", "--cap=0"),
+            (("verify", "--cap=abc"), "unrecognized arguments: --cap=abc"),
+            (("verify", "--table=nope"), "argument --table: invalid choice: 'nope'"),
+            (("frobnicate",), "argument command: invalid choice: 'frobnicate'"),
+            (("verify", "--table=cdc", "--cap=5"), "unrecognized arguments: --cap=5"),
+            (
+                ("charpoly", "family=DCn", "n=4", "--method=all", "--cap=5"),
+                "unrecognized arguments: --cap=5",
+            ),
+            (("build", "family=DCn", "n=4", "--format=csv"), "argument --format: invalid choice"),
+        ],
+        ids=[
+            "cap-abc",
+            "unknown-table",
+            "unknown-subcommand",
+            "leftover-cap-verify",
+            "leftover-cap-charpoly",
+            "build-csv",
         ],
     )
-    def test_nonpositive_cap_flag(self, argv):
-        proc = run_process(*argv)
-        self._assert_one_line_error(proc, "cap must be at least 1")
+    def test_usage_error_returns_1(self, argv, message):
+        rc, out, err = run_cli(*argv)
+        self._assert_one_line_error(CompletedProcess(argv, rc, out, err), message)
+        assert "usage" in err
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ("verify", "--table=cdc", "--n=5..5"),
-            ("charpoly", "family=DCn", "n=4", "--method=all"),
-        ],
-    )
+    def test_help_still_exits_0(self):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("verify", "--help")
+        assert exit_info.value.code == 0
+
+    @pytest.mark.parametrize("command", [("verify", "--table=cdc", "--n=5..5")])
     def test_nonpositive_cap_env(self, monkeypatch, command):
         monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "-1")
         proc = run_process(*command)

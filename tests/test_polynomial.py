@@ -19,6 +19,14 @@ Core claims:
       worked instances; true Perron verdicts are cross-checked by the
       complete monic-factor search for degree <= 6, whose integer
       interpolation agrees with rational interpolation
+    - against sympy's factor_list, on a seeded sweep of monic
+      polynomials of degree <= 8 and every family characteristic
+      polynomial with n <= 14: the monic-factor search finds a factor of
+      degree <= k exactly when one exists, and what it returns divides
+      f; a Brauer form, and Perron dominance with a nonzero constant
+      term, imply irreducibility.  Perron dominance with a zero constant
+      term (x^2 + 2x, the Zn_loop j=2 rows) is a known wrong verdict,
+      kept as a strict xfail.
 """
 
 import random
@@ -29,10 +37,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digraph_spectra import (
+    TABLE_NAMES,
     BothZeroMod2,
     BrauerForm,
     InexactDivision,
     IntPolynomial,
+    InvalidParameter,
     NotMonic,
     brauer_form,
     build_family,
@@ -46,6 +56,7 @@ from digraph_spectra import (
     parse_family_spec,
     perron_irreducible,
     perron_margin,
+    table_specs,
 )
 from digraph_spectra.polynomial import (
     MINPOLY_PRIME as P,
@@ -582,3 +593,109 @@ class TestFactorSearch:
         # 2x^2 - 2 = 2(x - 1)(x + 1); monic factors exist even though
         # the input is not monic
         assert find_monic_factor(_poly(-2, 0, 2), 1) == _poly(-1, 1)
+
+
+# -- sympy oracle for the irreducibility helpers ----------------------
+
+
+def _random_monic(rng, degree):
+    return IntPolynomial([rng.randint(-3, 3) for _ in range(degree)] + [1])
+
+
+def _oracle_sweep():
+    """(f, largest factor degree to search for): seeded monic
+    polynomials of degree 2..8, a quarter each products of small
+    factors, plain random, Perron-dominant and Brauer form F, searched
+    up to deg f // 2; then every distinct family characteristic
+    polynomial with n <= 14, searched up to degree 2 (degree 3 and 4
+    searches there take seconds)."""
+    rng = random.Random(2024)
+    polys = []
+    for index in range(160):
+        degree = rng.randint(2, 8)
+        f = _random_monic(rng, degree)
+        if index % 4 == 0:
+            f = ONE
+            while f.degree < degree:
+                f = f * _random_monic(rng, rng.randint(1, min(3, degree - f.degree)))
+        elif index % 4 == 2:
+            coeffs = list(f.coeffs)
+            tail = sum(abs(c) for c in coeffs[:-2])
+            coeffs[-2] = rng.choice((-1, 1)) * (tail + rng.randint(0, 3))
+            f = IntPolynomial(coeffs)
+        elif index % 4 == 3:
+            a = sorted((rng.randint(1, 4) for _ in range(degree)), reverse=True)
+            f = IntPolynomial([-v for v in reversed(a)] + [1])
+        polys.append((f, f.degree // 2))
+    family = {}
+    for table in TABLE_NAMES:
+        for spec in table_specs(table, 1, 14):
+            try:
+                family[str(spec)] = charpoly_exact(build_family(spec))
+            except InvalidParameter:
+                continue
+    distinct = {str(f): f for f in family.values()}.values()
+    return polys + [(f, min(f.degree // 2, 2)) for f in distinct]
+
+
+@pytest.fixture(scope="module")
+def factored():
+    """(f, degrees of sympy's irreducible factors of f ascending, search
+    bound)."""
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    out = []
+    for f, bound in _oracle_sweep():
+        _, factors = sp.Poly(list(reversed(f.coeffs)), x).factor_list()
+        out.append((f, sorted(g.degree() for g, _ in factors), bound))
+    return out
+
+
+def _irreducible(f, degrees):
+    return degrees == [f.degree]
+
+
+class TestIrreducibilityOracle:
+    def test_monic_factor_search_matches_factor_list(self, factored):
+        found = missed = 0
+        for f, degrees, bound in factored:
+            for k in range(1, bound + 1):
+                g = find_monic_factor(f, k)
+                assert (g is not None) == (degrees[0] <= k), (str(f), k, degrees)
+                if g is None:
+                    missed += 1
+                else:
+                    assert 1 <= g.degree <= k and f.is_divisible_by(g), (str(f), k, str(g))
+                    found += 1
+        assert found > 100 and missed > 100
+
+    def test_brauer_form_implies_irreducible(self, factored):
+        certified = 0
+        for f, degrees, _ in factored:
+            if f.degree >= 2 and brauer_form(f) is not BrauerForm.NEITHER:
+                assert _irreducible(f, degrees), str(f)
+                certified += 1
+        assert certified > 50
+
+    def test_perron_with_nonzero_constant_implies_irreducible(self, factored):
+        certified = 0
+        for f, degrees, _ in factored:
+            if f.degree >= 2 and f.coeffs[0] != 0 and perron_irreducible(f):
+                assert _irreducible(f, degrees), str(f)
+                certified += 1
+        assert certified > 20
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="perron_irreducible ignores Perron's a_0 != 0 hypothesis: "
+        "x^2 + 2x and the Zn_loop j=2 charpolys x^n - 2x^(n-1) pass",
+    )
+    def test_perron_with_zero_constant_implies_irreducible(self, factored):
+        dominant = [
+            (f, degrees)
+            for f, degrees, _ in factored
+            if f.degree >= 2 and f.coeffs[0] == 0 and perron_irreducible(f)
+        ]
+        assert dominant
+        for f, degrees in dominant:
+            assert _irreducible(f, degrees), str(f)

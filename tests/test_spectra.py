@@ -12,7 +12,9 @@ Core claims:
       seeded random digraphs with sinks, dense rows, mixed rows and loop
       multiplicities up to 2^62 + 1, and the complete digraph with m
       loops at every vertex at n = 32
-    - a cap below 1 is rejected rather than switching the route off
+    - the clow route runs at any n; DIGRAPH_SPECTRA_CAP, which only
+      chooses the verify rows that get it, must be an integer of at
+      least 1 rather than switching the route off
     - enumerate_ldsgs lists each cycle cover exactly once with the
       stated component counts, and the signed aggregation of the listed
       covers reproduces every coefficient
@@ -46,7 +48,6 @@ from digraph_spectra import (
     FamilySpec,
     InvalidParameter,
     IntPolynomial,
-    TooLargeForEnumeration,
     TooLargeForSearch,
     build_digraph,
     build_family,
@@ -157,30 +158,19 @@ class TestCharpolyRoutes:
             psi = charpoly_exact(d)
             assert psi.is_monic and psi.degree == d.n
 
-    def test_enumeration_cap(self):
-        big = build_family(FamilySpec("DCn", 20))
-        with pytest.raises(TooLargeForEnumeration):
-            charpoly_ldsg(big)
-        ok = charpoly_ldsg(build_family(FamilySpec("DCn", 13)), cap=13)
-        assert str(ok) == "x^13 - 1"
-
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "5")
-        assert resolve_enumeration_cap(None) == 5
-        assert resolve_enumeration_cap(9) == 9
+        assert resolve_enumeration_cap() == 5
         monkeypatch.delenv("DIGRAPH_SPECTRA_CAP")
-        assert resolve_enumeration_cap(None) == 12
+        assert resolve_enumeration_cap() == 12
 
     def test_nonpositive_cap_rejected(self, monkeypatch):
-        for cap in (0, -3):
-            with pytest.raises(ValueError, match="at least 1"):
-                resolve_enumeration_cap(cap)
         monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "-1")
-        with pytest.raises(ValueError, match="DIGRAPH_SPECTRA_CAP"):
-            resolve_enumeration_cap(None)
-        d = build_family(FamilySpec("DCn", 3))
-        with pytest.raises(ValueError, match="at least 1"):
-            charpoly_ldsg(d)
+        with pytest.raises(ValueError, match="DIGRAPH_SPECTRA_CAP must be at least 1"):
+            resolve_enumeration_cap()
+        monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "abc")
+        with pytest.raises(ValueError, match="DIGRAPH_SPECTRA_CAP must be an integer"):
+            resolve_enumeration_cap()
 
     def test_clow_route_on_default_rows_above_the_cap(self):
         """Every default-table row with n = 13..20, which the subset
@@ -193,13 +183,13 @@ class TestCharpolyRoutes:
                     d = build_family(spec)
                 except InvalidParameter:
                     continue
-                assert charpoly_ldsg(d, cap=d.n) == charpoly_exact(d), spec.to_text()
+                assert charpoly_ldsg(d) == charpoly_exact(d), spec.to_text()
                 checked += 1
         assert checked >= 180
 
     def test_clow_route_on_dense_circulant(self):
         d = build_family(FamilySpec("DCc", 24))
-        assert charpoly_ldsg(d, cap=24) == charpoly_exact(d)
+        assert charpoly_ldsg(d) == charpoly_exact(d)
 
 
     def test_trace_recursion_matches_sympy_above_the_cap(self):

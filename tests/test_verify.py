@@ -7,8 +7,8 @@ Core claims:
     - the family sweeps produce zero hard failures; the only recorded
       witness discrepancy is the full-fan pair, never counted hard; the
       one-row walk count behind it equals the matrix power's entry
-    - report serializations (JSON document, JSON lines, markdown, CSV,
-      text) are well formed and deterministic; a row's dict equals
+    - report serializations (JSON document, markdown, CSV, text) are
+      well formed and deterministic; a row's dict equals
       dataclasses.asdict (keys, order, values) on all 589 default rows,
       with its lists copied
     - the three distinct-eigenvalue methods return auditable
@@ -131,14 +131,6 @@ class TestReportFormats:
 
     def test_json_doc_deterministic(self):
         assert _cdf_small().to_json_doc() == _cdf_small().to_json_doc()
-
-    def test_json_lines(self):
-        report = _cdf_small()
-        lines = report.to_json_lines().strip().splitlines()
-        assert len(lines) == len(report.rows) + 1
-        assert "summary" in json.loads(lines[-1])
-        first = json.loads(lines[0])
-        assert first["table"] == "cdf"
 
     def test_markdown(self):
         md = _cdf_small().to_markdown()
