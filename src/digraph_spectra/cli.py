@@ -31,6 +31,7 @@ from .spectra import (
     charpoly_exact,
     charpoly_ldsg,
     minimal_polynomial,
+    minimal_polynomial_degree,
     triangular_certificate,
 )
 from .verify import DISTINCT_METHODS, build_report, distinctness_check
@@ -219,11 +220,11 @@ def cmd_minpoly(args) -> int:
 
 def cmd_nonderogatory(args) -> int:
     graph, _, source = _graph_from_args(args)
-    poly = minimal_polynomial(graph)
+    degree = minimal_polynomial_degree(graph)
     doc: dict = {
         "source": source,
-        "non_derogatory": poly.degree == graph.n,
-        "min_poly_degree": poly.degree,
+        "non_derogatory": degree == graph.n,
+        "min_poly_degree": degree,
     }
     try:
         cert = triangular_certificate(graph)

@@ -5,6 +5,9 @@ one is permitted only on self loops, so the adjacency matrix is 0/1 off
 the diagonal with nonnegative diagonal entries.  All arithmetic is on
 Python ints, so walk counts are exact at any length.
 
+Every kernel reads one cached 0-based successor table, ``Digraph.rows``;
+:meth:`Digraph.times` is A v over it and :func:`walk_row` the walk push.
+
 Serialization: a text form (first line ``n``, then one ``i j`` or
 ``i j mult`` per arc, sorted) and a JSON form
 ``{"n": n, "arcs": [[i, j, mult], ...]}``; both round-trip exactly.
@@ -46,15 +49,23 @@ class Digraph:
     arcs: tuple[tuple[int, int, int], ...]  # sorted (tail, head, multiplicity)
 
     @cached_property
-    def _successors(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        out: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.n + 1)}
+    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """0-based successor table: row i holds the (head - 1,
+        multiplicity) pairs of the arcs leaving vertex i + 1, sorted."""
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for i, j, m in self.arcs:
-            out[i].append((j, m))
-        return {v: tuple(lst) for v, lst in out.items()}
+            out[i - 1].append((j - 1, m))
+        return tuple([tuple(row) for row in out])
 
     def successors(self, v: int) -> tuple[tuple[int, int], ...]:
-        """(head, multiplicity) pairs of arcs leaving v."""
-        return self._successors[v]
+        """(head, multiplicity) pairs of arcs leaving v, 1-based."""
+        if not 1 <= v <= self.n:
+            raise IndexOutOfRange(f"vertex {v} outside 1..{self.n}")
+        return tuple([(h + 1, m) for h, m in self.rows[v - 1]])
+
+    def times(self, v: list[int]) -> list[int]:
+        """A v over Z, for v indexed by 0-based vertex."""
+        return [sum([w * v[h] for h, w in row]) for row in self.rows]
 
     def adjacency_matrix(self) -> list[list[int]]:
         """Fresh n x n multiplicity matrix, 0-based rows/columns."""
@@ -64,8 +75,11 @@ class Digraph:
         return mat
 
     def multiplicity(self, i: int, j: int) -> int:
-        for head, m in self._successors.get(i, ()):
-            if head == j:
+        """Multiplicity of arc (i, j); 0 when absent or out of range."""
+        if not 1 <= i <= self.n:
+            return 0  # a bare rows[i - 1] would wrap around to the last rows
+        for head, m in self.rows[i - 1]:
+            if head == j - 1:
                 return m
         return 0
 
@@ -134,29 +148,28 @@ def complement(d: Digraph) -> Digraph:
     return Digraph(n=d.n, arcs=arcs)
 
 
-def _reaches_all(neighbours: dict[int, list[int]]) -> bool:
-    """Whether a search from vertex 1 along the neighbour lists reaches
-    every vertex."""
-    seen = {1}
-    stack = [1]
+def _reaches_all(rows) -> bool:
+    """Whether a search from vertex 0 along the (head, multiplicity)
+    rows reaches every vertex."""
+    seen = {0}
+    stack = [0]
     while stack:
-        for w in neighbours[stack.pop()]:
+        for w, _ in rows[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == len(neighbours)
+    return len(seen) == len(rows)
 
 
 def is_strongly_connected(d: Digraph) -> bool:
-    """Vertex 1 reaches every vertex along the successor lists, and
+    """Vertex 1 reaches every vertex along the successor rows, and
     every vertex reaches it: vertex 1 reaches all along the predecessor
-    lists built from them."""
-    heads = {v: [h for h, _ in d.successors(v)] for v in range(1, d.n + 1)}
-    tails: dict[int, list[int]] = {v: [] for v in heads}
-    for v, hs in heads.items():
-        for h in hs:
-            tails[h].append(v)
-    return _reaches_all(heads) and _reaches_all(tails)
+    rows built from them."""
+    tails: list[list[tuple[int, int]]] = [[] for _ in d.rows]
+    for v, row in enumerate(d.rows):
+        for h, m in row:
+            tails[h].append((v, m))
+    return _reaches_all(d.rows) and _reaches_all(tails)
 
 
 def cycle_gcd(d: Digraph) -> int:
@@ -174,19 +187,19 @@ def cycle_gcd(d: Digraph) -> int:
 
 def _level_gcd(d: Digraph) -> int:
     """cycle_gcd of a digraph already known to be strongly connected."""
-    level = {1: 0}
-    queue = [1]
+    level = {0: 0}
+    queue = [0]
     head = 0
     while head < len(queue):
         u = queue[head]
         head += 1
-        for v, _ in d.successors(u):
+        for v, _ in d.rows[u]:
             if v not in level:
                 level[v] = level[u] + 1
                 queue.append(v)
     g = 0
     for i, j, _ in d.arcs:
-        g = gcd(g, abs(level[i] + 1 - level[j]))
+        g = gcd(g, abs(level[i - 1] + 1 - level[j - 1]))
     return g
 
 
@@ -204,34 +217,33 @@ class WalkCountMatrix:
         return self.entries[i - 1][j - 1]
 
 
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    # Columns as lists, not zip(*b) tuples: CPython 3.11 keeps freed
-    # 20-tuples on a free list it never allocates from, so products at
-    # n = 20 would hold memory until a full garbage collection.
-    bt = [[row[j] for row in b] for j in range(len(b))]
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def walk_row(d: Digraph, i: int, k: int) -> list[int]:
+    """Row i (vertex i + 1) of A^k, 0-based: the unit row pushed along
+    the arcs k times, skipping its zero entries."""
+    if k < 0:
+        raise ValueError("walk length must be nonnegative")
+    if not 0 <= i < d.n:
+        raise IndexOutOfRange(f"row {i} outside 0..{d.n - 1}")
+    rows = d.rows
+    row = [0] * d.n
+    row[i] = 1
+    for _ in range(k):
+        step = [0] * d.n
+        for u, count in enumerate(row):
+            if count:
+                for h, w in rows[u]:
+                    step[h] += count * w
+        row = step
+    return row
 
 
 def walk_count(d: Digraph, k: int) -> WalkCountMatrix:
-    """Exact k-th power of the adjacency matrix."""
-    if k < 0:
-        raise ValueError("walk length must be nonnegative")
-    result = identity_matrix(d.n)
-    base = d.adjacency_matrix()
-    e = k
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if e > 1 else base
-        e >>= 1
+    """Exact k-th power of the adjacency matrix, one :func:`walk_row`
+    per row."""
     # tuple() of a list, not of a generator: a generator's tuple is built
     # by resizing, which leaves memory on free lists that only a full
     # garbage collection empties.
-    return WalkCountMatrix(power=k, entries=tuple([tuple(row) for row in result]))
+    return WalkCountMatrix(power=k, entries=tuple([tuple(walk_row(d, i, k)) for i in range(d.n)]))
 
 
 # -- serialization ----------------------------------------------------

@@ -3,10 +3,10 @@
 A digraph is primitive iff it is strongly connected and the gcd of its
 cycle lengths is 1; its exponent is the least k with every entry of A^k
 positive.  The iteration packs each boolean row into an int bitmask and
-forms A^(k+1) = A A^k by pushing the powers through the successor lists:
-row i is the OR of the rows of A^k at i's successors, one OR per arc per
-step.  It is guarded by the (n-1)^2 + 1 bound on primitive exponents,
-which is an assertion, not a tunable.
+forms A^(k+1) = A A^k by pushing the powers through the successor table
+``d.rows``: row i is the OR of the rows of A^k at i's successors, one OR
+per arc per step.  It is guarded by the (n-1)^2 + 1 bound on primitive
+exponents, which is an assertion, not a tunable.
 
 The witness pair of an exponent result is the lexicographically
 smallest (i, j) with no walk of length exponent-1 from i to j, the
@@ -45,17 +45,17 @@ def exponent(d: Digraph) -> ExponentResult:
         return ExponentResult(primitive=False, exponent=None, witness_pair=None)
     n = d.n
     full = (1 << n) - 1
-    succ = [[h - 1 for h, _ in d.successors(v)] for v in range(1, n + 1)]
-    power = [sum([1 << h for h in heads]) for heads in succ]
+    rows = d.rows
+    power = [sum([1 << h for h, _ in row]) for row in rows]
     previous = None
     e = 1
     bound = (n - 1) * (n - 1) + 1
     while any(row != full for row in power):
         previous = power
         power = []  # A^(e+1) = A A^e: row i is the OR of A^e's rows at i's successors
-        for heads in succ:
+        for row in rows:
             acc = 0
-            for h in heads:
+            for h, _ in row:
                 acc |= previous[h]
             power.append(acc)
         e += 1

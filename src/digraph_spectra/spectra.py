@@ -12,22 +12,23 @@ Two independent routes to the characteristic polynomial:
   subgraphs (collections of vertex-disjoint directed cycles, signed by
   component count and weighted by loop multiplicities) as Mahajan and
   Vinay's clow-sequence sum: a dynamic programme over closed walks
-  through the successor lists, polynomial in n.
+  through the successor table, polynomial in n.
   :func:`enumerate_ldsgs` lists the subgraphs themselves, one by one.
 
-The two routes never share code, so their agreement is a real
-cross-check and is treated as a hard assertion by the verification
-pipeline.  Both run whenever asked; :func:`resolve_enumeration_cap` is
-only the verification pipeline's choice of which rows get the second
-route.
+The two routes share no arithmetic, only the successor table ``d.rows``,
+so their agreement is a real cross-check and is treated as a hard
+assertion by the verification pipeline.  Both run whenever asked;
+:func:`resolve_enumeration_cap` is only the verification pipeline's
+choice of which rows get the second route.
 
 The minimal polynomial is the characteristic polynomial as soon as
 e_1, A e_1, ..., A^(n-1) e_1 have rank n modulo the prime
 P = 2^61 - 1: a rank mod P never exceeds the rank over Q, so e_1 is then
 a cyclic vector.  Otherwise it is the lcm of the unit vectors' Krylov
 minimal polynomials mod P, lifted and certified over Z, with an exact
-rational rerun as the fallback.  A digraph is non-derogatory when the
-minimal polynomial has full degree n.
+rational rerun as the fallback; each Krylov step is one ``Digraph.times``.
+A digraph is non-derogatory when the minimal polynomial has full degree
+n, as rank n mod P already shows.
 
 :func:`triangular_certificate` searches for a sufficient witness: an
 ordered arc matching on n-1 rows and columns of xI - A whose staircase
@@ -41,7 +42,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import Digraph, mat_mul
+from .digraph import Digraph
 from .polynomial import MINPOLY_PRIME, IntPolynomial
 
 DEFAULT_ENUMERATION_CAP = 12
@@ -102,21 +103,20 @@ def charpoly_exact(d: Digraph) -> IntPolynomial:
     the low s bits, sign-folded.
     """
     n = d.n
-    r = max([1] + [sum([w for _, w in d.successors(v)]) for v in range(1, n + 1)])
+    r = max([1] + [sum([w for _, w in row]) for row in d.rows])
     s = n * r.bit_length() + n + 2
     size = 1 << s
     forms = []  # per vertex: rows added, rows subtracted; row n is the column sums
     excess = []  # (vertex, row, w - 1) for each loop of multiplicity w > 1
     dense = False
-    for v in range(1, n + 1):
-        succ = d.successors(v)
-        heads = [h - 1 for h, _ in succ]
+    for v, row in enumerate(d.rows):
+        heads = [h for h, _ in row]
         if 2 * len(heads) > n:
             forms.append(([n], sorted(set(range(n)) - set(heads))))
             dense = True
         else:
             forms.append((heads, []))
-        excess += [(v - 1, h - 1, w - 1) for h, w in succ if w > 1]
+        excess += [(v, h, w - 1) for h, w in row if w > 1]
     shifts = [s * i - 1 for i in range(n)]
     m = [1 << (s * i) for i in range(n)]
     coeffs = [1]  # leading coefficient of x^n
@@ -164,58 +164,48 @@ class Ldsg:
     weight: int = 1
 
 
-def _cycle_scan(d: Digraph, visit) -> None:
-    """Drive ``visit(cycles, covered, weight)`` over every collection of
-    vertex-disjoint cycles, including the empty one.
+def enumerate_ldsgs(d: Digraph, i: int) -> list[Ldsg]:
+    """All linear directed subgraphs on exactly i vertices, in
+    deterministic (lexicographic) order.
 
     Vertices are processed in increasing order; a cycle is built only
-    from its smallest vertex, so each collection is produced exactly
-    once, in lexicographic order of its canonical cycle tuples.
+    from its smallest vertex, so each collection of vertex-disjoint
+    cycles is produced exactly once, in lexicographic order of its
+    canonical cycle tuples.
     """
+    if not (1 <= i <= d.n):
+        raise ValueError(f"ldsg size must satisfy 1 <= i <= {d.n}, got {i}")
     n = d.n
-    succ = {v: d.successors(v) for v in range(1, n + 1)}
+    rows = d.rows
+    found: list[Ldsg] = []
     chosen: list[tuple[int, ...]] = []
 
     def choose(v: int, used: frozenset[int], weight: int) -> None:
-        if v > n:
-            visit(tuple(chosen), used, weight)
+        if v == n:
+            if len(used) == i:
+                cycles = tuple(chosen)
+                found.append(Ldsg(cycles=cycles, length=i, components=len(cycles), weight=weight))
             return
         if v in used:
             choose(v + 1, used, weight)
             return
         choose(v + 1, used, weight)  # leave v uncovered
-        path = [v]
+        path = [v + 1]  # the cycle in 1-based labels
 
         def extend(u: int, used_now: frozenset[int], w: int) -> None:
-            for head, mult in succ[u]:
-                if head == v and len(path) >= 1 and (len(path) > 1 or u == v):
+            for head, mult in rows[u]:
+                if head == v and (len(path) > 1 or u == v):
                     chosen.append(tuple(path))
                     choose(v + 1, used_now, w * mult)
                     chosen.pop()
                 elif head > v and head not in used_now:
-                    path.append(head)
+                    path.append(head + 1)
                     extend(head, used_now | {head}, w * mult)
                     path.pop()
 
         extend(v, used | {v}, weight)
 
-    choose(1, frozenset(), 1)
-
-
-def enumerate_ldsgs(d: Digraph, i: int) -> list[Ldsg]:
-    """All linear directed subgraphs on exactly i vertices, in
-    deterministic (lexicographic) order."""
-    if not (1 <= i <= d.n):
-        raise ValueError(f"ldsg size must satisfy 1 <= i <= {d.n}, got {i}")
-    found: list[Ldsg] = []
-
-    def visit(cycles, used, weight):
-        if len(used) == i:
-            found.append(
-                Ldsg(cycles=cycles, length=i, components=len(cycles), weight=weight)
-            )
-
-    _cycle_scan(d, visit)
+    choose(0, frozenset(), 1)
     return found
 
 
@@ -233,19 +223,19 @@ def charpoly_ldsg(d: Digraph) -> IntPolynomial:
     ldsg coefficient.  Heads are independent, so the sum is the product
     over h of (1 - sum_l clows_h[l] t^l) truncated at degree n, where
     clows_h[l] is the weight of the length-l clows with head h: walks
-    are pushed through the successor lists, O(n^2 * arcs) integer work
-    in all, and no linear algebra is shared with the trace recursion.
-    There is no size limit.
+    are pushed through ``d.rows``, O(n^2 * arcs) integer work in all, and
+    no arithmetic is shared with the trace recursion.  No size limit.
     """
     n = d.n
+    rows = d.rows
     coeffs = [1] + [0] * n  # coeffs[i]: coefficient of x^(n-i)
-    for h in range(1, n + 1):
+    for h in range(n):
         clows = [0] * (n + 1)
         walks = {h: 1}  # end vertex -> weight of walks from h through vertices > h
         for length in range(1, n + 1):
             step: dict[int, int] = {}
             for u, w in walks.items():
-                for v, mult in d.successors(u):
+                for v, mult in rows[u]:
                     if v == h:
                         clows[length] += w * mult
                     elif v > h:
@@ -297,8 +287,7 @@ def minimal_polynomial(d: Digraph, charpoly: IntPolynomial | None = None) -> Int
     range), the search reruns with exact rationals.
     """
     n = d.n
-    succ = [[(h - 1, w) for h, w in d.successors(v)] for v in range(1, n + 1)]
-    rank, krylov = _krylov_rank_mod_p(succ)
+    rank, krylov = _krylov_rank_mod_p(d)
     if charpoly is not None:
         cs = [c % MINPOLY_PRIME for c in charpoly.coeffs]
         if not (charpoly.is_monic and charpoly.degree == n) or any(
@@ -317,15 +306,15 @@ def minimal_polynomial(d: Digraph, charpoly: IntPolynomial | None = None) -> Int
     return m
 
 
-def _krylov_rank_mod_p(succ: list) -> tuple[int, list[list[int]]]:
+def _krylov_rank_mod_p(d: Digraph) -> tuple[int, list[list[int]]]:
     """Rank mod P of e_1, A e_1, ..., A^(n-1) e_1, and those vectors
     with A^n e_1: one echelon basis, no record of the combinations."""
     p = MINPOLY_PRIME
-    n = len(succ)
+    n = d.n
     v = [1] + [0] * (n - 1)
     krylov = [v]
     for _ in range(n):
-        v = [sum([w * v[h] for h, w in row]) % p for row in succ]
+        v = [x % p for x in d.times(v)]
         krylov.append(v)
     basis: list[tuple[int, list[int]]] = []  # (pivot, vec with 1 at pivot)
     for vec in krylov[:n]:
@@ -346,23 +335,22 @@ def _minimal_polynomial_mod_p(d: Digraph) -> tuple[IntPolynomial, range]:
     and the vertices j whose e_j the search processed."""
     p = MINPOLY_PRIME
     n = d.n
-    succ = [[(h - 1, w) for h, w in d.successors(v)] for v in range(1, n + 1)]
     m = [1]  # coefficients mod P, constant term first
     j = 0
     while j < n and len(m) <= n:
         v = [0] * n
         for c in reversed(m):  # Horner: v <- A v + c e_j
-            v = [sum([w * v[h] for h, w in row]) % p for row in succ]
+            v = [x % p for x in d.times(v)]
             v[j] = (v[j] + c) % p
         j += 1
         if any(v):
-            g = IntPolynomial(_krylov_minpoly_mod_p(succ, v))
+            g = IntPolynomial(_krylov_minpoly_mod_p(d, v))
             m = [c % p for c in (IntPolynomial(m) * g).coeffs]
     half = p // 2
     return IntPolynomial([c - p if c > half else c for c in m]), range(1, j + 1)
 
 
-def _krylov_minpoly_mod_p(succ: list, v: list[int]) -> list[int]:
+def _krylov_minpoly_mod_p(d: Digraph, v: list[int]) -> list[int]:
     """Monic first dependence among v, Av, A^2 v, ... mod P, constant
     term first: each vector is reduced against an echelon basis that
     records each basis row's expression in the sequence."""
@@ -382,18 +370,16 @@ def _krylov_minpoly_mod_p(succ: list, v: list[int]) -> list[int]:
             return combo
         inv = pow(vec[pivot], -1, p)
         basis.append((pivot, [x * inv % p for x in vec], [c * inv % p for c in combo]))
-        v = [sum([w * v[h] for h, w in row]) % p for row in succ]
+        v = [x % p for x in d.times(v)]
 
 
 def _annihilates(f: IntPolynomial, d: Digraph, vertices) -> bool:
     """f(A) e_j == 0 over Z for every j in ``vertices``, by Horner steps
     r <- A r + c e_j."""
-    n = d.n
-    succ = [[(h - 1, w) for h, w in d.successors(v)] for v in range(1, n + 1)]
     for j in vertices:
-        r = [0] * n
+        r = [0] * d.n
         for c in reversed(f.coeffs):
-            r = [sum([w * r[h] for h, w in row]) for row in succ]
+            r = d.times(r)
             r[j - 1] += c
         if any(r):
             return False
@@ -404,15 +390,14 @@ def _minimal_polynomial_rational(d: Digraph) -> IntPolynomial:
     """First dependence among the flattened powers I, A, A^2, ... with
     exact rationals; the coefficients are integral for integer matrices
     (asserted).  The fallback of the modular search, and its reference
-    in the tests."""
+    in the tests.  A^k is kept as its columns, each pushed by A v."""
     n = d.n
-    a = d.adjacency_matrix()
     dim = n * n
     basis: list[tuple[int, list[Fraction], list[Fraction]]] = []  # (pivot, vec, combo)
-    power_mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    columns = [[int(i == j) for i in range(n)] for j in range(n)]
     power = 0
     while True:
-        vec = [Fraction(power_mat[i][j]) for i in range(n) for j in range(n)]
+        vec = [Fraction(x) for col in columns for x in col]
         combo = [Fraction(0)] * (power + 1)
         combo[power] = Fraction(1)
         for pivot, bvec, bcombo in basis:
@@ -433,14 +418,20 @@ def _minimal_polynomial_rational(d: Digraph) -> IntPolynomial:
         vec = [c / inv for c in vec]
         bcombo = [c / inv for c in combo]
         basis.append((pivot, vec, bcombo))
-        power_mat = mat_mul(a, power_mat)
+        columns = [d.times(col) for col in columns]
         power += 1
         assert power <= n, "no dependence found within n+1 powers"
 
 
+def minimal_polynomial_degree(d: Digraph) -> int:
+    """Degree of the minimal polynomial; n, without forming it, when
+    e_1's Krylov rank mod P is n (see :func:`minimal_polynomial`)."""
+    return d.n if _krylov_rank_mod_p(d)[0] == d.n else minimal_polynomial(d).degree
+
+
 def is_non_derogatory(d: Digraph) -> bool:
     """True iff the minimal polynomial has full degree n."""
-    return minimal_polynomial(d).degree == d.n
+    return minimal_polynomial_degree(d) == d.n
 
 
 # -- triangular certificate -------------------------------------------
@@ -491,7 +482,7 @@ def triangular_certificate(
                 return TriangularCertificate(
                     removed_row=removed_row,
                     removed_col=removed_col,
-                    # from lists, not generators: see digraph.walk_count
+                    # tuple() of lists: a generator's tuple leaves free-list memory
                     row_order=tuple([r for r, _ in order]),
                     col_order=tuple([c for _, c in order]),
                 )

@@ -18,7 +18,7 @@ import io
 import json
 from dataclasses import dataclass, fields
 
-from .digraph import Digraph
+from .digraph import walk_row
 from .exponents import exponent as compute_exponent
 from .families import (
     DEFAULT_RANGES,
@@ -248,23 +248,8 @@ def build_row(table: str, spec: FamilySpec) -> ReportRow:
     pair = expected_no_walk_pair(spec.family, spec.n)
     if pair is not None and result.exponent is not None:
         row.expected_no_walk_pair = list(pair)
-        row.witness_zero_ok = _walks(graph, result.exponent - 1, *pair) == 0
+        row.witness_zero_ok = walk_row(graph, pair[0] - 1, result.exponent - 1)[pair[1] - 1] == 0
     return row
-
-
-def _walks(d: Digraph, k: int, i: int, j: int) -> int:
-    """Entry (i, j) of A^k: row i pushed through k sparse steps, rather
-    than the whole matrix power for one entry."""
-    row = [0] * d.n
-    row[i - 1] = 1
-    for _ in range(k):
-        step = [0] * d.n
-        for u, count in enumerate(row, start=1):
-            if count:
-                for head, mult in d.successors(u):
-                    step[head - 1] += count * mult
-        row = step
-    return row[j - 1]
 
 
 def build_report(tables, n_range: tuple[int, int] | None = None) -> VerificationReport:

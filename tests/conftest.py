@@ -4,7 +4,9 @@ The acceptance tests register one summary line per criterion in
 ACCEPTANCE_LINES; the sessionfinish hook reprints the block after the
 normal pytest output so the pass/fail lines are visible even though
 stdout is captured during the run.  run_python starts a fresh
-interpreter for the CLI and demo tests.
+interpreter for the CLI and demo tests.  mat_mul is the plain matrix
+product that tests use as the reference for walk counts, products A v
+and polynomials evaluated at A.
 """
 
 import os
@@ -28,6 +30,12 @@ def run_python(*args):
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def mat_mul(a, b):
+    """Product of two integer matrices given as lists of rows."""
+    columns = [[row[j] for row in b] for j in range(len(b[0]))]
+    return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
 
 
 def pytest_sessionfinish(session, exitstatus):

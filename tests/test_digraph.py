@@ -8,6 +8,8 @@ Core claims:
     - strong connectivity and cycle gcd match the worked instances
     - walk_count(d, k) equals A^k exactly, agrees with brute-force
       walk enumeration for small digraphs, and is multiplicative in k
+    - the 0-based successor table, the product A v and walk_row agree
+      with the adjacency matrix; out-of-range arcs have multiplicity 0
     - text and JSON serializations round-trip
 """
 
@@ -32,11 +34,12 @@ from digraph_spectra import (
 from digraph_spectra.digraph import (
     from_json,
     from_text,
-    identity_matrix,
-    mat_mul,
     to_json,
     to_text,
+    walk_row,
 )
+
+from conftest import mat_mul
 
 
 def _cycle(n):
@@ -107,6 +110,50 @@ class TestBuild:
         a = build_digraph(3, [(1, 2), (2, 3)])
         b = build_digraph(3, [(2, 3), (1, 2)])
         assert a == b
+
+
+class TestSuccessorTable:
+    """``Digraph.rows`` is 0-based while arcs and vertices are 1-based."""
+
+    def test_out_of_range_endpoints_have_no_arcs(self):
+        """Every vertex, the last ones included, has an arc to every
+        vertex, so an index that wraps around to the last rows finds one."""
+        for n in (1, 2, 5):
+            everything = [(i, j, 3 if i == j else 1) for i in range(1, n + 1) for j in range(1, n + 1)]
+            d = build_digraph(n, everything)
+            for bad in (0, -1, n + 1):
+                for v in range(1, n + 1):
+                    assert d.multiplicity(bad, v) == 0 and not d.has_arc(bad, v)
+                    assert d.multiplicity(v, bad) == 0 and not d.has_arc(v, bad)
+                with pytest.raises(IndexOutOfRange):
+                    d.successors(bad)
+            for bad in (-1, n):
+                with pytest.raises(IndexOutOfRange):
+                    walk_row(d, bad, 1)
+
+    def test_rows_product_and_walk_rows_match_the_matrix(self):
+        """Seeded digraphs with sinks, full rows and loop multiplicities
+        up to 4, n = 1 included."""
+        rng = random.Random(1111)
+        for n in [1] * 5 + [rng.randint(2, 8) for _ in range(60)]:
+            density = [rng.choice([0.0, 0.3, 0.7, 1.0]) for _ in range(n)]
+            arcs = [
+                (i, j, rng.randint(1, 4) if i == j else 1)
+                for i in range(1, n + 1)
+                for j in range(1, n + 1)
+                if rng.random() < density[i - 1]
+            ]
+            d = build_digraph(n, arcs)
+            a = d.adjacency_matrix()
+            assert [list(row) for row in d.rows] == [
+                [(j, a[i][j]) for j in range(n) if a[i][j]] for i in range(n)
+            ]
+            v = [rng.randint(-5, 5) for _ in range(n)]
+            assert d.times(v) == [row[0] for row in mat_mul(a, [[x] for x in v])]
+            power = [[int(i == j) for j in range(n)] for i in range(n)]
+            for k in range(5):
+                assert [walk_row(d, i, k) for i in range(n)] == power, (arcs, k)
+                power = mat_mul(power, a)
 
 
 # -- complement -------------------------------------------------------
@@ -201,7 +248,7 @@ class TestWalkCount:
 
     def test_zero_power_is_identity(self):
         w = walk_count(_cycle(3), 0)
-        assert [list(row) for row in w.entries] == identity_matrix(3)
+        assert [list(row) for row in w.entries] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_odd_fan_no_length8_walk_6_to_3(self):
         d = build_family(FamilySpec("ADF", 7))

@@ -4,11 +4,12 @@ non-derogatory status and the triangular certificate.
 Core claims:
     - the trace-recursion route and the cycle-cover route agree on the
       worked example, on family sweeps, and on seeded random digraphs
-      (the full 200-case oracle run lives in the acceptance suite)
+      (the full 200-case oracle run lives in the acceptance suite), also
+      with the shared product A v and walk push patched to raise
     - the clow-sequence route reproduces the term sum of the listed
       covers (loop multiplicities, sinks), and the trace recursion on
       every default-table row above the default cap and on DCc at n=24
-    - the packed-row trace recursion matches a list-of-rows reference on
+    - the packed-row trace recursion matches a matrix-product reference on
       seeded random digraphs with sinks, dense rows, mixed rows and loop
       multiplicities up to 2^62 + 1, and the complete digraph with m
       loops at every vertex at n = 32
@@ -30,7 +31,8 @@ Core claims:
       charpoly raises; the derogatory 3-cycle plus looped vertex
       (e_1 of rank n - 1) still gets x^3 - 1 from the certified search
     - squarefree characteristic polynomial implies non-derogatory, and
-      the non-derogatory verdict never calls the squarefree test
+      the non-derogatory verdict never calls the squarefree test; on
+      Krylov rank n it never forms the characteristic polynomial
     - Cayley-Hamilton: the characteristic polynomial annihilates A
     - a triangular certificate, when found, is sound by direct check
       and always implies non-derogatory; absence implies nothing
@@ -45,6 +47,7 @@ import sys
 import pytest
 
 from digraph_spectra import (
+    Digraph,
     FamilySpec,
     InvalidParameter,
     IntPolynomial,
@@ -61,10 +64,11 @@ from digraph_spectra import (
     table_specs,
     triangular_certificate,
 )
-from digraph_spectra.digraph import identity_matrix, mat_mul
 from digraph_spectra.families import DEFAULT_RANGES, TABLE_NAMES
 from digraph_spectra import spectra
 from digraph_spectra.spectra import resolve_enumeration_cap
+
+from conftest import mat_mul
 
 P = spectra.MINPOLY_PRIME
 
@@ -106,14 +110,13 @@ def _family_sweep(hi):
 
 
 def _poly_at_matrix(f, a):
+    """f(A) by Horner steps acc <- A acc + c I."""
     n = len(a)
     acc = [[0] * n for _ in range(n)]
-    power = identity_matrix(n)
-    for c in f.coeffs:
+    for c in reversed(f.coeffs):
+        acc = mat_mul(a, acc)
         for i in range(n):
-            for j in range(n):
-                acc[i][j] += c * power[i][j]
-        power = mat_mul(power, a)
+            acc[i][i] += c
     return acc
 
 
@@ -121,6 +124,21 @@ def _poly_at_matrix(f, a):
 
 
 class TestCharpolyRoutes:
+    def test_routes_share_no_arithmetic_helper(self, monkeypatch):
+        """Both routes read the successor table ``Digraph.rows``, which is
+        digraph data, but neither calls the product A v or the walk push
+        that other kernels share, so their agreement stays a cross-check."""
+        def forbidden(*_):
+            raise AssertionError("a characteristic-polynomial route called a shared helper")
+
+        monkeypatch.setattr(Digraph, "times", forbidden)
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("digraph_spectra"):
+                if hasattr(module, "walk_row"):
+                    monkeypatch.setattr(module, "walk_row", forbidden)
+        for spec, graph in _family_sweep(9):
+            assert charpoly_exact(graph) == charpoly_ldsg(graph), spec.to_text()
+
     def test_worked_example_all_routes(self):
         d = build_family(FamilySpec("DCn_i_nmi", 8))
         exact = charpoly_exact(d)
@@ -218,19 +236,14 @@ class TestCharpolyRoutes:
 
 
 def _list_trace_recursion(d):
-    """Reference for the packed route: the same recursion on a list of
-    integer rows, row i of A M being the multiplicity-weighted sum of
-    the rows of M that vertex i's arcs select."""
+    """Reference for the packed route: the same recursion on lists of
+    integer rows, A M being the plain matrix product."""
     n = d.n
-    m = identity_matrix(n)
+    a = d.adjacency_matrix()
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     coeffs = [1]
     for k in range(1, n + 1):
-        am = []
-        for v in range(1, n + 1):
-            acc = [0] * n
-            for h, w in d.successors(v):
-                acc = [x + w * y for x, y in zip(acc, m[h - 1])]
-            am.append(acc)
+        am = mat_mul(a, m)
         t = sum(am[i][i] for i in range(n))
         assert t % k == 0
         coeffs.append(-t // k)
@@ -503,10 +516,6 @@ class TestModularMinimalPolynomial:
         assert minimal_polynomial(THREE_CYCLE_AND_LOOP) == IntPolynomial((-1, 0, 0, 1))
 
 
-def _successor_rows(d):
-    return [[(h - 1, w) for h, w in d.successors(v)] for v in range(1, d.n + 1)]
-
-
 # a 3-cycle and a looped vertex 4: eigenvalue 1 twice, e_1 of Krylov rank 3
 THREE_CYCLE_AND_LOOP = build_digraph(4, [(1, 2), (2, 3), (3, 1), (4, 4)])
 
@@ -522,7 +531,7 @@ class TestCyclicVectorShortcut:
         cyclic = [
             (spec, graph)
             for spec, graph in _family_sweep(9)
-            if spectra._krylov_rank_mod_p(_successor_rows(graph))[0] == graph.n
+            if spectra._krylov_rank_mod_p(graph)[0] == graph.n
         ]
         assert len(cyclic) > 100
         monkeypatch.setattr(spectra, "_minimal_polynomial_mod_p", unused)
@@ -535,8 +544,8 @@ class TestCyclicVectorShortcut:
     def test_krylov_rank_counts_every_power(self):
         for n in range(1, 9):
             cycle = build_digraph(n, [(i, i % n + 1) for i in range(1, n + 1)])
-            assert spectra._krylov_rank_mod_p(_successor_rows(cycle))[0] == n
-        assert spectra._krylov_rank_mod_p(_successor_rows(THREE_CYCLE_AND_LOOP))[0] == 3
+            assert spectra._krylov_rank_mod_p(cycle)[0] == n
+        assert spectra._krylov_rank_mod_p(THREE_CYCLE_AND_LOOP)[0] == 3
 
     def test_derogatory_three_cycle_with_looped_vertex(self):
         d = THREE_CYCLE_AND_LOOP
@@ -636,6 +645,21 @@ class TestNonDerogatory:
             psi = charpoly_exact(graph)
             if psi.degree >= 1 and is_squarefree(psi, "Q"):
                 assert is_non_derogatory(graph), spec.to_text()
+
+    def test_rank_n_verdict_skips_the_charpoly(self, monkeypatch):
+        """Krylov rank n of e_1 mod P already gives degree n, so the
+        verdict never forms the characteristic polynomial."""
+        cyclic = [
+            graph for _, graph in _family_sweep(9) if spectra._krylov_rank_mod_p(graph)[0] == graph.n
+        ]
+        assert len(cyclic) > 100
+
+        def forbidden(*_):
+            raise AssertionError("non-derogatory verdict formed the characteristic polynomial")
+
+        monkeypatch.setattr(spectra, "charpoly_exact", forbidden)
+        assert all(is_non_derogatory(graph) for graph in cyclic)
+        assert all(spectra.minimal_polynomial_degree(graph) == graph.n for graph in cyclic)
 
     def test_identity_pattern_is_derogatory(self):
         d = build_digraph(3, [(1, 1), (2, 2), (3, 3)])

@@ -6,7 +6,7 @@ Core claims:
       agreement; degenerate parameters become skip rows with reasons
     - the family sweeps produce zero hard failures; the only recorded
       witness discrepancy is the full-fan pair, never counted hard; the
-      one-row walk count behind it equals the matrix power's entry
+      walk_row behind it equals the row of the matrix power
     - report serializations (JSON document, markdown, CSV, text) are
       well formed and deterministic; a row's dict equals
       dataclasses.asdict (keys, order, values) on all 589 default rows,
@@ -29,9 +29,11 @@ from digraph_spectra import (
     build_report,
     distinctness_check,
     parse_family_spec,
-    walk_count,
 )
-from digraph_spectra.verify import VerificationReport, _walks
+from digraph_spectra.digraph import walk_row
+from digraph_spectra.verify import VerificationReport
+
+from conftest import mat_mul
 
 
 def _cdf_small():
@@ -114,8 +116,11 @@ def test_one_row_walk_count_matches_matrix_power():
             if rng.random() < 0.4
         ]
         d = build_digraph(n, arcs)
-        k, i, j = rng.randint(0, 9), rng.randint(1, n), rng.randint(1, n)
-        assert _walks(d, k, i, j) == walk_count(d, k).entry(i, j)
+        k, i = rng.randint(0, 9), rng.randint(0, n - 1)
+        power = [[int(r == c) for c in range(n)] for r in range(n)]
+        for _ in range(k):
+            power = mat_mul(power, d.adjacency_matrix())
+        assert walk_row(d, i, k) == power[i]
 
 
 # -- serializations ---------------------------------------------------
