@@ -12,7 +12,6 @@ deterministic: sorted keys, compact separators.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import digraph as dg
@@ -34,13 +33,9 @@ from .spectra import (
     minimal_polynomial_degree,
     triangular_certificate,
 )
-from .verify import DISTINCT_METHODS, build_report, distinctness_check
+from .verify import DISTINCT_METHODS, _dump_json, build_report, distinctness_check
 
 _METHODS = ("exact", "ldsg", "closed-form", "all")
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _emit(text: str, out_path: str | None) -> None:

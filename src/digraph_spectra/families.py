@@ -72,6 +72,7 @@ class FamilySpec:
 
 
 _INNER_OPEN = "inner=("
+MAX_SPEC_DEPTH = 64  # most inner specs one spec may nest; deeper input is refused before parsing
 
 
 def _split_inner(text: str) -> tuple[str | None, str]:
@@ -95,7 +96,9 @@ def _split_inner(text: str) -> tuple[str | None, str]:
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse the canonical text form; unknown and repeated keys are an
-    error."""
+    error, and so are more than ``MAX_SPEC_DEPTH`` inner groups."""
+    if text.count(_INNER_OPEN) > MAX_SPEC_DEPTH:
+        raise InvalidParameter(f"spec nests more than {MAX_SPEC_DEPTH} inner=(...) groups")
     inner_text, text = _split_inner(text)
     fields: dict = {}
     if inner_text is not None:
@@ -137,9 +140,18 @@ def _parse_int(key: str, value: str) -> int:
 
 def family_spec_from_json_dict(obj: dict) -> FamilySpec:
     """Build a spec from its JSON object form, checking every value's
-    type: a wrong type raises a ValueError subclass, never TypeError."""
+    type: a wrong type, or more than ``MAX_SPEC_DEPTH`` nested inner
+    objects, raises a ValueError subclass, never TypeError or
+    RecursionError."""
     if not isinstance(obj, dict) or "family" not in obj or "n" not in obj:
         raise ValueError("family JSON needs keys 'family' and 'n'")
+    node = obj
+    for _ in range(MAX_SPEC_DEPTH + 1):
+        node = node.get("inner")
+        if not isinstance(node, dict):
+            break
+    else:
+        raise InvalidParameter(f"spec nests more than {MAX_SPEC_DEPTH} inner objects")
     for key in obj:
         if key not in ("family", "n", "inner", *_PARAM_KEYS):
             raise ValueError(f"unknown spec key {key!r}")

@@ -21,14 +21,14 @@ assertion by the verification pipeline.  Both run whenever asked;
 :func:`resolve_enumeration_cap` is only the verification pipeline's
 choice of which rows get the second route.
 
-The minimal polynomial is the characteristic polynomial as soon as
-e_1, A e_1, ..., A^(n-1) e_1 have rank n modulo the prime
-P = 2^61 - 1: a rank mod P never exceeds the rank over Q, so e_1 is then
-a cyclic vector.  Otherwise it is the lcm of the unit vectors' Krylov
-minimal polynomials mod P, lifted and certified over Z, with an exact
-rational rerun as the fallback; each Krylov step is one ``Digraph.times``.
-A digraph is non-derogatory when the minimal polynomial has full degree
-n, as rank n mod P already shows.
+The minimal polynomial is the lcm of the unit vectors' Krylov minimal
+polynomials modulo the prime P = 2^61 - 1, e_1 first, each read off one
+elimination by back-substitution; each Krylov step is one
+``Digraph.times``.  Degree n mod P is degree n over Q, so the result is
+then the characteristic polynomial; below degree n the lifted result is
+certified over Z, with an exact rational rerun as the fallback.  A
+digraph is non-derogatory when the minimal polynomial has full degree
+n, which the search alone shows.
 
 :func:`triangular_certificate` searches for a sufficient witness: an
 ordered arc matching on n-1 rows and columns of xI - A whose staircase
@@ -256,78 +256,41 @@ def charpoly_ldsg(d: Digraph) -> IntPolynomial:
 def minimal_polynomial(d: Digraph, charpoly: IntPolynomial | None = None) -> IntPolynomial:
     """Monic generator of the polynomials f with f(A) = 0.
 
-    First e_1, A e_1, ..., A^n e_1 are formed mod P = ``MINPOLY_PRIME``
-    and the first n are eliminated for their rank alone.  A minor of the
-    integer Krylov matrix that is nonzero mod P is nonzero, so rank n
-    mod P makes e_1 a cyclic vector over Q: A's minimal polynomial has
-    degree n and is the characteristic polynomial.  That is ``charpoly``
-    when given (the caller's ``charpoly_exact(d)``, whose Cayley-Hamilton
-    check is exact), else ``charpoly_exact(d)``.  A given ``charpoly``
-    must be monic of degree n with charpoly(A) e_1 = 0 mod P, checked on
-    the same vectors, or ValueError is raised.
+    The search runs modulo P = ``MINPOLY_PRIME`` from Krylov sequences
+    of unit vectors (Wiedemann 1986), e_1 first.  For j = 1, 2, ... it
+    forms v = m(A) e_j, finds the minimal polynomial g of v's sequence
+    v, Av, A^2 v, ... and replaces m by m g = lcm(m, minpoly(e_j)),
+    until deg m = n or every e_j is processed; m is then A's minimal
+    polynomial mod P, lifted to (-P/2, P/2].  The true minimal
+    polynomial is a monic integer polynomial that m divides mod P.
 
-    Below rank n the search runs modulo P from Krylov sequences of unit
-    vectors (Wiedemann 1986).  For j = 1, 2, ... the search forms
-    v = m(A) e_j, finds the minimal polynomial g of v's sequence
-    v, Av, A^2 v, ... and replaces m by m g.  Since g is the minimal
-    polynomial of e_j divided by its gcd with m, the product is
-    lcm(m, minpoly(e_j)); over all j it is the minimal polynomial of A
-    mod P.  The search stops as soon as deg m = n.  The coefficients are
-    lifted to (-P/2, P/2].
+    So deg m = n (on most digraphs e_1 alone, a cyclic vector, gets
+    there) means the characteristic polynomial: ``charpoly`` when given
+    (the caller's ``charpoly_exact(d)``, whose Cayley-Hamilton check is
+    exact), else ``charpoly_exact(d)``.  A given ``charpoly`` must then
+    be monic of degree n and congruent to m, the characteristic
+    polynomial of A mod P, coefficient by coefficient.
 
-    The result is certified over Z by checking m(A) e_j = 0 exactly for
-    every processed j.  That proves m(A) = 0: either every unit vector
-    was processed, or the search stopped at degree n, when the Krylov
-    vectors of the processed e_j have rank n mod P and hence span Q^n.
-    The true minimal polynomial is a monic integer polynomial that m
-    divides mod P, so deg m is at most its degree; an integer
-    annihilator is a multiple of it, so a passing check means equal
-    degrees and m is the minimal polynomial.  If the check fails (the
-    degree dropped mod P, or a true coefficient lies outside the lift
-    range), the search reruns with exact rationals.
+    Below degree n every e_j was processed, and m(A) e_j = 0 checked
+    exactly for all of them proves m(A) = 0; an integer annihilator is a
+    multiple of the true minimal polynomial, so m is it.  If the check
+    fails (the degree dropped mod P, or a true coefficient lies outside
+    the lift range), the search reruns with exact rationals.  A given
+    ``charpoly`` must then be monic of degree n with charpoly(A) = 0,
+    checked the same way.  A wrong ``charpoly`` raises ValueError.
     """
     n = d.n
-    rank, krylov = _krylov_rank_mod_p(d)
+    m, processed = _minimal_polynomial_mod_p(d)
     if charpoly is not None:
-        cs = [c % MINPOLY_PRIME for c in charpoly.coeffs]
-        if not (charpoly.is_monic and charpoly.degree == n) or any(
-            sum([c * vec[i] for c, vec in zip(cs, krylov)]) % MINPOLY_PRIME
-            for i in range(n)
+        if not (charpoly.is_monic and charpoly.degree == n) or (
+            any((a - b) % MINPOLY_PRIME for a, b in zip(charpoly.coeffs, m.coeffs))
+            if m.degree == n
+            else not _annihilates(charpoly, d, processed)
         ):
             raise ValueError(f"{charpoly} is not the characteristic polynomial of the digraph")
-    if rank == n:
+    if m.degree == n:
         return charpoly if charpoly is not None else charpoly_exact(d)
-    m, processed = _minimal_polynomial_mod_p(d)
-    if not _annihilates(m, d, processed):
-        m = _minimal_polynomial_rational(d)
-        assert _annihilates(m, d, range(1, d.n + 1)), (
-            "rational minimal polynomial does not annihilate A"
-        )
-    return m
-
-
-def _krylov_rank_mod_p(d: Digraph) -> tuple[int, list[list[int]]]:
-    """Rank mod P of e_1, A e_1, ..., A^(n-1) e_1, and those vectors
-    with A^n e_1: one echelon basis, no record of the combinations."""
-    p = MINPOLY_PRIME
-    n = d.n
-    v = [1] + [0] * (n - 1)
-    krylov = [v]
-    for _ in range(n):
-        v = [x % p for x in d.times(v)]
-        krylov.append(v)
-    basis: list[tuple[int, list[int]]] = []  # (pivot, vec with 1 at pivot)
-    for vec in krylov[:n]:
-        for pivot, bvec in basis:
-            f = vec[pivot]
-            if f:
-                vec = [(x - f * y) % p for x, y in zip(vec, bvec)]
-        pivot = next((idx for idx, x in enumerate(vec) if x), None)
-        if pivot is None:  # every later power lies in the span too
-            break
-        inv = pow(vec[pivot], -1, p)
-        basis.append((pivot, [x * inv % p for x in vec]))
-    return len(basis), krylov
+    return _certified(m, d, processed)
 
 
 def _minimal_polynomial_mod_p(d: Digraph) -> tuple[IntPolynomial, range]:
@@ -339,38 +302,49 @@ def _minimal_polynomial_mod_p(d: Digraph) -> tuple[IntPolynomial, range]:
     j = 0
     while j < n and len(m) <= n:
         v = [0] * n
-        for c in reversed(m):  # Horner: v <- A v + c e_j
+        v[j] = 1  # Horner from m's leading coefficient 1: v <- A v + c e_j
+        for c in reversed(m[:-1]):
             v = [x % p for x in d.times(v)]
             v[j] = (v[j] + c) % p
         j += 1
         if any(v):
-            g = IntPolynomial(_krylov_minpoly_mod_p(d, v))
-            m = [c % p for c in (IntPolynomial(m) * g).coeffs]
+            g = _krylov_minpoly_mod_p(d, v)
+            m = g if m == [1] else [c % p for c in (IntPolynomial(m) * IntPolynomial(g)).coeffs]
     half = p // 2
     return IntPolynomial([c - p if c > half else c for c in m]), range(1, j + 1)
 
 
 def _krylov_minpoly_mod_p(d: Digraph, v: list[int]) -> list[int]:
     """Monic first dependence among v, Av, A^2 v, ... mod P, constant
-    term first: each vector is reduced against an echelon basis that
-    records each basis row's expression in the sequence."""
+    term first.  Reducing A^k v against the echelon basis b_0, b_1, ...
+    records the multipliers L[k][i] and the residue's pivot L[k][k]:
+    A^k v = sum_i L[k][i] b_i, L lower triangular.  The first dependent
+    A^r v = sum_i f_i b_i = sum_k c_k A^k v then gives c from
+    sum_k c_k L[k][i] = f_i by back-substitution."""
     p = MINPOLY_PRIME
-    basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, vec, combo)
+    basis: list[tuple[int, list[int]]] = []  # (pivot, vec with 1 at pivot)
+    lower: list[list[int]] = []  # row k: L[k][0..k-1], then 1 / L[k][k]
     while True:
         vec = v
-        combo = [0] * len(basis) + [1]
-        for pivot, bvec, bcombo in basis:
-            f = vec[pivot]
-            if f:
-                vec = [(x - f * y) % p for x, y in zip(vec, bvec)]
-                for idx, c in enumerate(bcombo):
-                    combo[idx] = (combo[idx] - f * c) % p
+        f = []
+        for pivot, bvec in basis:
+            mult = vec[pivot]
+            f.append(mult)
+            if mult:
+                vec = [(x - mult * y) % p for x, y in zip(vec, bvec)]
         pivot = next((idx for idx, x in enumerate(vec) if x), None)
         if pivot is None:
-            return combo
+            break
         inv = pow(vec[pivot], -1, p)
-        basis.append((pivot, [x * inv % p for x in vec], [c * inv % p for c in combo]))
+        basis.append((pivot, [x * inv % p for x in vec]))
+        lower.append(f + [inv])
         v = [x % p for x in d.times(v)]
+    r = len(lower)
+    c = [0] * r
+    for i in range(r - 1, -1, -1):
+        rest = sum([c[k] * lower[k][i] for k in range(i + 1, r)])
+        c[i] = (f[i] - rest) * lower[i][i] % p
+    return [-x % p for x in c] + [1]
 
 
 def _annihilates(f: IntPolynomial, d: Digraph, vertices) -> bool:
@@ -384,6 +358,18 @@ def _annihilates(f: IntPolynomial, d: Digraph, vertices) -> bool:
         if any(r):
             return False
     return True
+
+
+def _certified(m: IntPolynomial, d: Digraph, processed: range) -> IntPolynomial:
+    """m when m(A) e_j = 0 over Z for every processed j, else the exact
+    rational rerun."""
+    if _annihilates(m, d, processed):
+        return m
+    m = _minimal_polynomial_rational(d)
+    assert _annihilates(m, d, range(1, d.n + 1)), (
+        "rational minimal polynomial does not annihilate A"
+    )
+    return m
 
 
 def _minimal_polynomial_rational(d: Digraph) -> IntPolynomial:
@@ -424,9 +410,11 @@ def _minimal_polynomial_rational(d: Digraph) -> IntPolynomial:
 
 
 def minimal_polynomial_degree(d: Digraph) -> int:
-    """Degree of the minimal polynomial; n, without forming it, when
-    e_1's Krylov rank mod P is n (see :func:`minimal_polynomial`)."""
-    return d.n if _krylov_rank_mod_p(d)[0] == d.n else minimal_polynomial(d).degree
+    """Degree of the minimal polynomial: the search of
+    :func:`minimal_polynomial` run once, certified only below degree n,
+    never forming the characteristic polynomial."""
+    m, processed = _minimal_polynomial_mod_p(d)
+    return d.n if m.degree == d.n else _certified(m, d, processed).degree
 
 
 def is_non_derogatory(d: Digraph) -> bool:

@@ -3,8 +3,8 @@
 Core claims:
     - every subcommand produces the worked outputs with exit code 0
     - nested Complement specs parse; invalid specs (an unbalanced
-      inner=( group and a repeated key among them), parameters and files
-      exit 1 with an error line;
+      inner=( group, a repeated key and 1000 nested inner=( groups among
+      them), parameters and files exit 1 with an error line;
       malformed digraph files, empty, reversed or non-integer --n
       ranges and a nonpositive DIGRAPH_SPECTRA_CAP exit 1 with one
       error line and no traceback
@@ -322,6 +322,14 @@ class TestBadInput:
     def test_repeated_spec_key(self):
         proc = run_process("charpoly", "family=DCn", "n=5", "n=7")
         self._assert_one_line_error(proc, "repeated spec key 'n'")
+
+    def test_deeply_nested_spec(self):
+        spec = "family=Complement n=3"
+        for _ in range(1000):
+            spec = f"family=Complement n=3 inner=({spec})"
+        argv = ("build", *spec.split(" ", 2))
+        rc, out, err = run_cli(*argv)
+        self._assert_one_line_error(CompletedProcess(argv, rc, out, err), "nests more than")
 
     @pytest.mark.parametrize("n_range", ["9..5", "0..3", "-2"])
     def test_empty_or_nonpositive_n_range(self, n_range):

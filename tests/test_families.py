@@ -2,7 +2,9 @@
 
 Core claims:
     - spec text and JSON forms round-trip, including Complement specs
-      nested to depth 3; malformed specs, unbalanced inner=( groups,
+      nested to depth 3 and to the bound MAX_SPEC_DEPTH; deeper nesting
+      (1000) raises InvalidParameter, never RecursionError; malformed
+      specs, unbalanced inner=( groups,
       repeated keys, wrongly typed JSON values and out-of-range
       parameters raise a ValueError subclass with a reason
     - constructed arc sets match the worked instances exactly
@@ -45,7 +47,7 @@ from digraph_spectra import (
     parse_family_spec,
     table_specs,
 )
-from digraph_spectra.families import _FAMILIES, DEFAULT_RANGES, validate
+from digraph_spectra.families import _FAMILIES, DEFAULT_RANGES, MAX_SPEC_DEPTH, validate
 
 X = IntPolynomial.x()
 
@@ -104,6 +106,22 @@ class TestSpecForms:
         # a complement taken twice gives the digraph back
         expected = FamilySpec("DCn", 5) if depth % 2 == 0 else FamilySpec("DCc", 5)
         assert build_family(spec) == build_family(expected)
+
+    def test_nesting_bound(self):
+        spec = FamilySpec("DCn", 5)
+        for _ in range(MAX_SPEC_DEPTH):
+            spec = FamilySpec("Complement", 5, inner=spec)
+        assert parse_family_spec(spec.to_text()) == spec
+        assert family_spec_from_json_dict(spec.to_json_dict()) == spec
+        assert build_family(spec) == build_family(FamilySpec("DCn", 5))
+        text, obj = "family=DCn n=5", {"family": "DCn", "n": 5}
+        for _ in range(1000):
+            text = f"family=Complement n=5 inner=({text})"
+            obj = {"family": "Complement", "n": 5, "inner": obj}
+        with pytest.raises(InvalidParameter, match=f"nests more than {MAX_SPEC_DEPTH} inner"):
+            parse_family_spec(text)
+        with pytest.raises(InvalidParameter, match=f"nests more than {MAX_SPEC_DEPTH} inner"):
+            family_spec_from_json_dict(obj)
 
     @pytest.mark.parametrize(
         "text",

@@ -25,14 +25,20 @@ Core claims:
       sympy factor-and-rank oracle, joins unit vectors by lcm when e_1
       is not cyclic, and inputs whose reduction mod P misleads it are
       caught by the Z certificate
-    - Krylov rank n of e_1 mod P returns the characteristic polynomial
-      without the lcm search, with or without the caller's charpoly
-      (both forms checked against the rational elimination); a wrong
-      charpoly raises; the derogatory 3-cycle plus looped vertex
-      (e_1 of rank n - 1) still gets x^3 - 1 from the certified search
+    - the Krylov minimal polynomial read off the recorded multipliers by
+      back-substitution is monic, annihilates its vector mod P and has
+      the degree of a test-local Krylov rank mod P (n = 1, sinks, loop
+      multiplicities, the zero vector)
+    - a cyclic e_1 ends the search after one vector and returns the
+      characteristic polynomial without the Z certificate, and without
+      charpoly_exact when the caller passes it (both forms checked
+      against the rational elimination); a wrong charpoly raises; the
+      derogatory 3-cycle plus looped vertex (e_1 of rank n - 1) still
+      gets x^3 - 1 from the certified search
     - squarefree characteristic polynomial implies non-derogatory, and
-      the non-derogatory verdict never calls the squarefree test; on
-      Krylov rank n it never forms the characteristic polynomial
+      the non-derogatory verdict never calls the squarefree test; on a
+      cyclic e_1 it never forms the characteristic polynomial, and on a
+      derogatory digraph it runs the search once
     - Cayley-Hamilton: the characteristic polynomial annihilates A
     - a triangular certificate, when found, is sound by direct check
       and always implies non-derogatory; absence implies nothing
@@ -520,32 +526,120 @@ class TestModularMinimalPolynomial:
 THREE_CYCLE_AND_LOOP = build_digraph(4, [(1, 2), (2, 3), (3, 1), (4, 4)])
 
 
+def _unit(n, j=1):
+    return [int(i == j - 1) for i in range(n)]
+
+
+def _krylov_rank(d, v):
+    """Rank mod P of v, Av, ..., A^(n-1) v by Gauss-Jordan elimination
+    of all n vectors, independent of the search's early stop."""
+    rows = []
+    for _ in range(d.n):
+        rows.append([x % P for x in v])
+        v = d.times(rows[-1])
+    rank = 0
+    for col in range(d.n):
+        pivot = next((r for r in range(rank, d.n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, P)
+        for r in range(d.n):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] * inv % P
+                rows[r] = [(x - f * y) % P for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _at_vector_mod_p(g, d, v):
+    """g(A) v mod P for coefficients g (constant term first), by Horner
+    steps r <- A r + c v."""
+    r = [0] * d.n
+    for c in reversed(g):
+        r = [(x + c * y) % P for x, y in zip(d.times(r), v)]
+    return r
+
+
+class TestKrylovBackSubstitution:
+    """The Krylov minimal polynomial mod P read off the recorded
+    multipliers, against a test-local rank and a direct evaluation."""
+
+    def test_monic_annihilator_of_krylov_rank_degree(self):
+        rng = random.Random(1212)
+        cases = [
+            (build_digraph(1, []), [1]),  # n = 1, a sink: x
+            (build_digraph(1, [(1, 1, 3)]), [5]),  # n = 1, a triple loop: x - 3
+            (build_digraph(3, [(1, 2), (2, 3)]), _unit(3, 3)),  # path into a sink: x^3
+            (THREE_CYCLE_AND_LOOP, _unit(4)),
+            (THREE_CYCLE_AND_LOOP, [0, 0, 0, 0]),  # rank zero: the constant 1
+        ]
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            d = _random_loop_digraph(rng, n, p=rng.choice([0.15, 0.4, 0.7]))
+            kind = rng.randrange(4)
+            if kind == 0:
+                v = [rng.randrange(P) for _ in range(n)]
+            elif kind == 1:
+                v = _unit(n, rng.randint(1, n))
+            elif kind == 2:
+                v = [rng.randint(-3, 3) % P for _ in range(n)]
+            else:
+                v = [0] * n
+            cases.append((d, v))
+        degrees = set()
+        for d, v in cases:
+            g = spectra._krylov_minpoly_mod_p(d, v)
+            assert g[-1] == 1 and all(0 <= c < P for c in g), (d.arcs, v)
+            assert not any(_at_vector_mod_p(g, d, v)), (d.arcs, v)
+            assert len(g) - 1 == _krylov_rank(d, v), (d.arcs, v)
+            degrees.add(len(g) - 1)
+        assert degrees == set(range(8))
+
+    def test_worked_small_cases(self):
+        assert spectra._krylov_minpoly_mod_p(build_digraph(1, []), [1]) == [0, 1]
+        assert spectra._krylov_minpoly_mod_p(build_digraph(1, [(1, 1, 3)]), [5]) == [P - 3, 1]
+        path = build_digraph(3, [(1, 2), (2, 3)])
+        assert spectra._krylov_minpoly_mod_p(path, _unit(3, 3)) == [0, 0, 0, 1]
+        assert spectra._krylov_minpoly_mod_p(path, _unit(3)) == [0, 1]
+        assert spectra._krylov_minpoly_mod_p(THREE_CYCLE_AND_LOOP, [0] * 4) == [1]
+
+
 class TestCyclicVectorShortcut:
-    """Krylov rank n of e_1 mod P returns the characteristic polynomial;
-    below rank n the lcm search and its Z certificate run as before."""
+    """When e_1 is a cyclic vector the search stops after it and returns
+    the characteristic polynomial; below degree n the lcm search and its
+    Z certificate run on."""
 
     def test_rank_n_rows_skip_the_lcm_search(self, monkeypatch):
         def unused(*_):
-            raise AssertionError("lcm search ran on a cyclic e_1")
+            raise AssertionError("the search went past a cyclic e_1")
 
         cyclic = [
-            (spec, graph)
+            (spec, graph, charpoly_exact(graph))
             for spec, graph in _family_sweep(9)
-            if spectra._krylov_rank_mod_p(graph)[0] == graph.n
+            if _krylov_rank(graph, _unit(graph.n)) == graph.n
         ]
         assert len(cyclic) > 100
-        monkeypatch.setattr(spectra, "_minimal_polynomial_mod_p", unused)
+        for spec, graph, _ in cyclic:
+            modular, processed = spectra._minimal_polynomial_mod_p(graph)
+            assert (modular.degree, processed) == (graph.n, range(1, 2)), spec.to_text()
         monkeypatch.setattr(spectra, "_annihilates", unused)
-        for spec, graph in cyclic:
-            psi = charpoly_exact(graph)
-            assert minimal_polynomial(graph, charpoly=psi) == psi, spec.to_text()
+        monkeypatch.setattr(spectra, "_minimal_polynomial_rational", unused)
+        for spec, graph, psi in cyclic:
             assert minimal_polynomial(graph) == psi, spec.to_text()
+        monkeypatch.setattr(spectra, "charpoly_exact", unused)
+        for spec, graph, psi in cyclic:
+            assert minimal_polynomial(graph, charpoly=psi) is psi, spec.to_text()
 
     def test_krylov_rank_counts_every_power(self):
         for n in range(1, 9):
             cycle = build_digraph(n, [(i, i % n + 1) for i in range(1, n + 1)])
-            assert spectra._krylov_rank_mod_p(cycle)[0] == n
-        assert spectra._krylov_rank_mod_p(THREE_CYCLE_AND_LOOP)[0] == 3
+            expected = IntPolynomial.monomial(n) - 1
+            assert spectra._minimal_polynomial_mod_p(cycle) == (expected, range(1, 2))
+        e1 = spectra._krylov_minpoly_mod_p(THREE_CYCLE_AND_LOOP, _unit(4))
+        assert e1 == [P - 1, 0, 0, 1]
+        modular, processed = spectra._minimal_polynomial_mod_p(THREE_CYCLE_AND_LOOP)
+        assert (modular.degree, processed) == (3, range(1, 5))
 
     def test_derogatory_three_cycle_with_looped_vertex(self):
         d = THREE_CYCLE_AND_LOOP
@@ -650,7 +744,7 @@ class TestNonDerogatory:
         """Krylov rank n of e_1 mod P already gives degree n, so the
         verdict never forms the characteristic polynomial."""
         cyclic = [
-            graph for _, graph in _family_sweep(9) if spectra._krylov_rank_mod_p(graph)[0] == graph.n
+            graph for _, graph in _family_sweep(9) if _krylov_rank(graph, _unit(graph.n)) == graph.n
         ]
         assert len(cyclic) > 100
 
@@ -660,6 +754,18 @@ class TestNonDerogatory:
         monkeypatch.setattr(spectra, "charpoly_exact", forbidden)
         assert all(is_non_derogatory(graph) for graph in cyclic)
         assert all(spectra.minimal_polynomial_degree(graph) == graph.n for graph in cyclic)
+
+    def test_derogatory_degree_runs_the_search_once(self, monkeypatch):
+        search = spectra._minimal_polynomial_mod_p
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return search(d)
+
+        monkeypatch.setattr(spectra, "_minimal_polynomial_mod_p", counted)
+        assert spectra.minimal_polynomial_degree(build_family(FamilySpec("UDWc", 9))) == 8
+        assert len(calls) == 1
 
     def test_identity_pattern_is_derogatory(self):
         d = build_digraph(3, [(1, 1), (2, 2), (3, 3)])
