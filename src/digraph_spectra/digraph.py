@@ -106,7 +106,6 @@ def build_digraph(n: int, arcs) -> Digraph:
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     merged: dict[tuple[int, int], int] = {}
-    seen_nonloop: set[tuple[int, int]] = set()
     for entry in arcs:
         if not isinstance(entry, (tuple, list)) or len(entry) not in (2, 3):
             raise ValueError(f"arc entries must be (i, j) or (i, j, mult), got {entry!r}")
@@ -120,9 +119,8 @@ def build_digraph(n: int, arcs) -> Digraph:
         if i == j:
             merged[(i, j)] = merged.get((i, j), 0) + m
         else:
-            if m > 1 or (i, j) in seen_nonloop:
+            if m > 1 or (i, j) in merged:
                 raise ParallelNonLoopArc(f"parallel non-loop arc ({i}, {j})")
-            seen_nonloop.add((i, j))
             merged[(i, j)] = 1
     triples = tuple(sorted((i, j, m) for (i, j), m in merged.items()))
     return Digraph(n=n, arcs=triples)
@@ -290,4 +288,9 @@ def to_json(d: Digraph) -> str:
 
 
 def from_json(text: str) -> Digraph:
-    return from_json_dict(json.loads(text))
+    """A nesting too deep for the JSON reader or for an error message's
+    repr is a ValueError too, so the CLI reports it in one line."""
+    try:
+        return from_json_dict(json.loads(text))
+    except RecursionError:
+        raise ValueError("digraph JSON nests too deeply") from None

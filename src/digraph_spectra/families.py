@@ -37,8 +37,9 @@ _LIST_KEYS = ("tips", "arcs")
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family name with its parameters; the canonical text form is
-    ``family=DCn_tips n=8 tips=2,4`` (sorted ascending lists)."""
+    """A family name with its parameters.  The JSON object form is the
+    definition; the canonical text form ``family=DCn_tips n=8 tips=2,4``
+    (sorted ascending lists) is syntax over it."""
 
     family: str
     n: int
@@ -48,27 +49,30 @@ class FamilySpec:
     arcs: tuple[int, ...] | None = None
     inner: "FamilySpec | None" = None
 
-    def _params(self) -> list[tuple[str, object]]:
-        """(key, value) for each parameter that is set, in key order."""
-        values = [(key, getattr(self, key)) for key in _PARAM_KEYS]
-        return [(key, value) for key, value in values if value is not None]
-
     def to_text(self) -> str:
-        parts = [f"family={self.family}", f"n={self.n}"]
-        for key, value in self._params():
-            text = ",".join(str(v) for v in value) if key in _LIST_KEYS else value
-            parts.append(f"{key}={text}")
-        if self.inner is not None:
-            parts.append(f"inner=({self.inner.to_text()})")
-        return " ".join(parts)
+        return _object_text(self.to_json_dict())
 
     def to_json_dict(self) -> dict:
         out: dict = {"family": self.family, "n": self.n}
-        for key, value in self._params():
-            out[key] = list(value) if key in _LIST_KEYS else value
+        for key in _PARAM_KEYS:
+            value = getattr(self, key)
+            if value is not None:
+                out[key] = list(value) if key in _LIST_KEYS else value
         if self.inner is not None:
             out["inner"] = self.inner.to_json_dict()
         return out
+
+
+def _object_text(obj: dict) -> str:
+    """The text form of a spec's JSON object form."""
+    parts = []
+    for key, value in obj.items():
+        if key == "inner":
+            value = f"({_object_text(value)})"
+        elif key in _LIST_KEYS:
+            value = ",".join(map(str, value))
+        parts.append(f"{key}={value}")
+    return " ".join(parts)
 
 
 _INNER_OPEN = "inner=("
@@ -95,56 +99,46 @@ def _split_inner(text: str) -> tuple[str | None, str]:
 
 
 def parse_family_spec(text: str) -> FamilySpec:
-    """Parse the canonical text form; unknown and repeated keys are an
-    error, and so are more than ``MAX_SPEC_DEPTH`` inner groups."""
+    """Split the text form into the JSON object form and build the spec
+    from that.  Only a repeated key, a token without ``=``, unbalanced
+    parentheses and more than ``MAX_SPEC_DEPTH`` inner groups (counted
+    before the splitter recurses) are refused here."""
     if text.count(_INNER_OPEN) > MAX_SPEC_DEPTH:
         raise InvalidParameter(f"spec nests more than {MAX_SPEC_DEPTH} inner=(...) groups")
+    return family_spec_from_json_dict(_text_object(text))
+
+
+def _text_object(text: str) -> dict:
+    """A spec text as a JSON object: the ``inner=(...)`` group nested,
+    comma lists and integers converted for the known keys, and every
+    other value, or one that does not convert, as the raw string."""
     inner_text, text = _split_inner(text)
-    fields: dict = {}
-    if inner_text is not None:
-        fields["inner"] = parse_family_spec(inner_text)
+    obj: dict = {} if inner_text is None else {"inner": _text_object(inner_text)}
     for token in text.split():
-        if "=" not in token:
+        key, eq, value = token.partition("=")
+        if not eq:
             raise ValueError(f"expected key=value, got {token!r}")
-        key, _, value = token.partition("=")
-        if key in fields:
+        if key in obj:
             raise ValueError(f"repeated spec key {key!r}")
-        if key == "family":
-            fields["family"] = value
-        elif key in _LIST_KEYS:
-            try:
-                fields[key] = tuple(
-                    sorted(int(part) for part in value.split(",") if part != "")
-                )
-            except ValueError:
-                raise ValueError(f"key {key} needs a comma-separated integer list, got {value!r}")
-        elif key == "n" or key in _PARAM_KEYS:
-            fields[key] = _parse_int(key, value)
-        else:
-            raise ValueError(f"unknown spec key {key!r}")
-    if "family" not in fields:
-        raise ValueError("spec is missing family=<name>")
-    if "n" not in fields:
-        raise ValueError("spec is missing n=<count>")
-    spec = FamilySpec(**fields)
-    _family(spec.family)
-    return spec
-
-
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"key {key} needs an integer, got {value!r}")
+        try:
+            if key in _LIST_KEYS:
+                value = [int(part) for part in value.split(",") if part != ""]
+            elif key == "n" or key in _PARAM_KEYS:
+                value = int(value)
+        except ValueError:
+            pass
+        obj[key] = value
+    return obj
 
 
 def family_spec_from_json_dict(obj: dict) -> FamilySpec:
-    """Build a spec from its JSON object form, checking every value's
-    type: a wrong type, or more than ``MAX_SPEC_DEPTH`` nested inner
-    objects, raises a ValueError subclass, never TypeError or
-    RecursionError."""
-    if not isinstance(obj, dict) or "family" not in obj or "n" not in obj:
-        raise ValueError("family JSON needs keys 'family' and 'n'")
+    """Build a spec from its JSON object form, the one place that checks
+    keys and values: an unknown or missing key, a wrong type, or more
+    than ``MAX_SPEC_DEPTH`` nested inner objects raises a ValueError
+    subclass, never TypeError or RecursionError.  Lists come out sorted."""
+    for key in ("family", "n"):
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"a spec needs a JSON object with key {key!r}")
     node = obj
     for _ in range(MAX_SPEC_DEPTH + 1):
         node = node.get("inner")

@@ -390,18 +390,10 @@ MINPOLY_PRIME = 2**61 - 1  # the one modulus of the mod-P shortcuts here and in 
 
 
 def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a reduced mod b in Z."""
-    lead = b.leading_coefficient
-    d = b.degree
-    scale_left = a.degree - d + 1
-    r = a
-    while not r.is_zero and r.degree >= d:
-        shift = r.degree - d
-        r = r * lead - b * IntPolynomial.monomial(shift, r.leading_coefficient)
-        scale_left -= 1
-    if scale_left > 0:
-        r = r * (lead**scale_left)
-    return r
+    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a reduced mod b in Z,
+    for deg a >= deg b.  That power of lc(b) makes the quotient integral,
+    so ``divrem`` never refuses it."""
+    return (a * b.leading_coefficient ** (a.degree - b.degree + 1)).divrem(b)[1]
 
 
 def gcd_over_q(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:

@@ -5,9 +5,9 @@ Core claims:
     - nested Complement specs parse; invalid specs (an unbalanced
       inner=( group, a repeated key and 1000 nested inner=( groups among
       them), parameters and files exit 1 with an error line;
-      malformed digraph files, empty, reversed or non-integer --n
-      ranges and a nonpositive DIGRAPH_SPECTRA_CAP exit 1 with one
-      error line and no traceback
+      malformed and deeply nested digraph files, empty, reversed or
+      non-integer --n ranges and a nonpositive DIGRAPH_SPECTRA_CAP exit 1
+      with one error line and no traceback
     - usage errors (unknown subcommand, option or choice, a --format the
       subcommand does not offer, a leftover --cap) return 1 from main
       with one error line, not argparse's exit 2; --help exits 0
@@ -330,6 +330,13 @@ class TestBadInput:
         argv = ("build", *spec.split(" ", 2))
         rc, out, err = run_cli(*argv)
         self._assert_one_line_error(CompletedProcess(argv, rc, out, err), "nests more than")
+
+    def test_deeply_nested_json_digraph(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 3, "arcs": ' + "[" * 100000)
+        argv = ("charpoly", f"--file={path}")
+        rc, out, err = run_cli(*argv)
+        self._assert_one_line_error(CompletedProcess(argv, rc, out, err), "nests too deeply")
 
     @pytest.mark.parametrize("n_range", ["9..5", "0..3", "-2"])
     def test_empty_or_nonpositive_n_range(self, n_range):
