@@ -4,8 +4,10 @@ Two independent routes to the characteristic polynomial:
 
 * :func:`charpoly_exact` runs the trace recursion on exact integer
   matrices (each division is provably exact and asserted), each row
-  packed into one int in slots wide enough for a proven entry bound, so
-  a row of A M is one big-int add per arc; a vertex with more
+  packed into one int in slots sized by Hadamard's bound on the
+  coefficients of adj(xI - A), which needs only the row norms of A, so
+  a row of A M is one big-int add per arc and the trace is read from
+  one slot of the rows shifted and summed; a vertex with more
   successors than non-successors instead subtracts its non-successors'
   rows from the column-sum row;
 * :func:`charpoly_ldsg` computes the signed sum over linear directed
@@ -38,6 +40,7 @@ shape forces a constant nonzero (n-1)-minor, hence gcd of the
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,73 +80,99 @@ def resolve_enumeration_cap() -> int:
 def charpoly_exact(d: Digraph) -> IntPolynomial:
     """det(xI - A) via the trace recursion, exact over Z.
 
-    Iterates M_0 = I, M_k = A M_(k-1) + c_(k-1) I with
+    Iterates M_0 = I, M_k = A M_(k-1) + c_k I with
     c_k = -trace(A M_(k-1)) / k; every division is exact for integer
     matrices and is asserted, and M_n = 0 (Cayley-Hamilton) is asserted
-    at the end.
+    at the end.  The update + c_k I is skipped when c_k = 0.
 
     Each row of M is one int, entry j in slot j: M[i][j] * 2^(s*j)
-    summed over j, with s = n * R.bit_length() + n + 2 for the largest
-    multiplicity-weighted out-degree R (at least 1).  Row v of A M is
-    then one big-int add per arc of v.  When v has more successors than
+    summed over j, with s from :func:`_slot_bits`.  Row v of A M is
+    then one big-int add per arc of v, and a vertex with one successor
+    reuses that successor's int.  When v has more successors than
     non-successors, the row is instead the column-sum row (the sum of
     all rows, formed once per step) minus the rows of v's
     non-successors; the form is chosen per vertex.  Either way a loop of
     multiplicity w > 1 adds (w - 1) times its row once more.
 
+    Trace read.  Row i shifted left by s*(n-1-i) moves its diagonal
+    slot i to slot n-1, so slot n-1 of the sum of the shifted rows
+    (formed by Horner steps, x <- (x << s) + row) is trace(A M_(k-1));
+    slot n-1+j-i holds the sum of the entries (i, j) with that j - i, at
+    most n of them.  That one slot is rounded and sign-folded once.
+
     Slot bound.  Packing is linear and exact whatever the slots hold,
-    so only the diagonal slots read back need a bound.  A principal
-    j-minor of A is at most the product of its rows' 1-norms, so
-    |c_j| <= C(n, j) R^j, and entries of A^i are at most R^i.  An entry
-    of A M_(k-1) = sum_(j<k) c_j A^(k-j) is therefore at most
-    R^k sum_j C(n, j) <= R^n 2^n < 2^(s-2).  The slots below slot i add
-    up to less than 2^(s-2) * 2^(s*i) / (2^s - 1) <= 2^(s*i - 1) in
-    size, so rounding the row to the nearest multiple of 2^(s*i),
-    ((x >> (s*i - 1)) + 1) >> 1, absorbs their borrows; slot i is then
-    the low s bits, sign-folded.
+    so only the slots of that sum need a bound.  M_k is the coefficient
+    of x^(n-1-k) in adj(xI - A), so each of its entries is a signed sum
+    of k-row minors of A on distinct row sets.  By Hadamard's inequality
+    a minor is at most the product of its rows' 2-norms, each at most
+    rho_v = ceil(||row v||_2), so |M_k[i][j]| <= e_k(rho) <=
+    prod_v (1 + rho_v), e_k being the elementary symmetric polynomial;
+    |c_k|, a sum of principal k-minors, obeys the same bound.  Hence
+    A M_(k-1) = M_k - c_k I has entries at most 2 prod_v (1 + rho_v),
+    and a slot of the sum at most 2n prod_v (1 + rho_v) < 2^(s-2).  The
+    slots below slot n-1 add up to less than
+    2^(s-2) * 2^(s*(n-1)) / (2^s - 1) <= 2^(s*(n-1) - 1) in size, so
+    rounding the sum to the nearest multiple of 2^(s*(n-1)),
+    ((x >> (s*(n-1) - 1)) + 1) >> 1, absorbs their borrows; the trace is
+    then the low s bits, sign-folded.
     """
     n = d.n
-    r = max([1] + [sum([w for _, w in row]) for row in d.rows])
-    s = n * r.bit_length() + n + 2
+    s = _slot_bits(d)
     size = 1 << s
-    forms = []  # per vertex: rows added, rows subtracted; row n is the column sums
-    excess = []  # (vertex, row, w - 1) for each loop of multiplicity w > 1
-    dense = False
-    for v, row in enumerate(d.rows):
-        heads = [h for h, _ in row]
-        if 2 * len(heads) > n:
-            forms.append(([n], sorted(set(range(n)) - set(heads))))
-            dense = True
-        else:
-            forms.append((heads, []))
-        excess += [(v, h, w - 1) for h, w in row if w > 1]
-    shifts = [s * i - 1 for i in range(n)]
-    m = [1 << (s * i) for i in range(n)]
+    rows = d.rows
+    first = [row[0][0] if row else n for row in rows]  # the row that v's row of A M starts from
+    adds = []  # (vertex, rows added, rows subtracted) after that first row
+    for v, row in enumerate(rows):
+        if 2 * len(row) > n:
+            first[v] = n + 1
+            adds.append((v, [], sorted(set(range(n)).difference([h for h, _ in row]))))
+        elif len(row) > 1:
+            adds.append((v, [h for h, _ in row[1:]], []))
+    dense = n + 1 in first
+    excess = [(v, h, w - 1) for v, row in enumerate(rows) for h, w in row if w > 1]
+    diagonal = [s * i for i in range(n)]
+    low = s * (n - 1) - 1  # slot n-1 has no lower slots to round away when n = 1
+    m = [1 << shift for shift in diagonal]
     coeffs = [1]  # leading coefficient of x^n
     for k in range(1, n + 1):
+        m.append(0)  # row n: the zero row of a sink
         if dense:
-            m.append(sum(m))
-        am = []
-        for plus, minus in forms:
-            x = 0
+            m.append(sum(m))  # row n + 1: the column sums
+        am = [m[h] for h in first]
+        for v, plus, minus in adds:
+            x = am[v]
             for h in plus:
                 x += m[h]
             for h in minus:
                 x -= m[h]
-            am.append(x)
-        for i, h, w in excess:
-            am[i] += w * m[h]
-        slots = [  # slot 0 has no lower slots to round away
-            (x if shift < 0 else ((x >> shift) + 1) >> 1) & (size - 1)
-            for x, shift in zip(am, shifts)
-        ]
-        t = sum([u - size if u >= size >> 1 else u for u in slots])
+            am[v] = x
+        for v, h, w in excess:
+            am[v] += w * m[h]
+        lifted = 0  # row i shifted left by s*(n-1-i), summed
+        for x in am:
+            lifted = (lifted << s) + x
+        u = (lifted if low < 0 else ((lifted >> low) + 1) >> 1) & (size - 1)
+        t = u - size if u >= size >> 1 else u
         assert t % k == 0, "trace recursion produced a non-integer coefficient"
         ck = -t // k
         coeffs.append(ck)
-        m = [x + (ck << (shift + 1)) for x, shift in zip(am, shifts)]
+        if ck:
+            am = [x + (ck << shift) for x, shift in zip(am, diagonal)]
+        m = am
     assert not any(m), "trace recursion did not end in the zero matrix"
     return IntPolynomial(reversed(coeffs))
+
+
+def _slot_bits(d: Digraph) -> int:
+    """Slot width s of :func:`charpoly_exact`: the least s with
+    2n prod_v (1 + rho_v) < 2^(s-2), rho_v = ceil(||row v||_2) over the
+    arc multiplicities of v."""
+    bound = 2 * d.n
+    for row in d.rows:
+        q = sum([w * w for _, w in row])
+        rho = math.isqrt(q)
+        bound *= 1 + rho + (rho * rho < q)
+    return bound.bit_length() + 2
 
 
 # -- route 2: linear directed subgraphs -------------------------------

@@ -3,8 +3,11 @@
 The acceptance tests register one summary line per criterion in
 ACCEPTANCE_LINES; the sessionfinish hook reprints the block after the
 normal pytest output so the pass/fail lines are visible even though
-stdout is captured during the run.  run_python starts a fresh
-interpreter for the CLI and demo tests.  mat_mul is the plain matrix
+stdout is captured during the run.  Hypothesis runs under one
+registered profile, derandomized and without an example database, so
+every run draws the same examples and nothing is replayed from an
+earlier run; each test keeps its own max_examples.  run_python starts
+a fresh interpreter for the CLI and demo tests.  mat_mul is the plain matrix
 product that tests use as the reference for walk counts, products A v
 and polynomials evaluated at A.
 """
@@ -14,7 +17,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 import digraph_spectra
+
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -8,11 +8,16 @@ Core claims:
       with the shared product A v and walk push patched to raise
     - the clow-sequence route reproduces the term sum of the listed
       covers (loop multiplicities, sinks), and the trace recursion on
-      every default-table row above the default cap and on DCc at n=24
+      every default-table row above the default cap, on the 126 exponents
+      rows at n = 21..32 and on DCc at n=24
     - the packed-row trace recursion matches a matrix-product reference on
       seeded random digraphs with sinks, dense rows, mixed rows and loop
-      multiplicities up to 2^62 + 1, and the complete digraph with m
-      loops at every vertex at n = 32
+      multiplicities up to 2^62 + 1, on the complete digraph with m
+      loops at every vertex at n = 32 and on the 126 exponents rows at
+      n = 21..32; on all of them every entry of M_k is at most e_k(rho)
+      and every entry of A M_(k-1) at most 2 e_k(rho), rho_v being the
+      rounded-up 2-norm of row v, and the code's slot width s has
+      2n prod_v (1 + rho_v) < 2^(s-2); 8-bit slots are caught
     - the clow route runs at any n; DIGRAPH_SPECTRA_CAP, which only
       chooses the verify rows that get it, must be an integer of at
       least 1 rather than switching the route off
@@ -47,6 +52,7 @@ Core claims:
 """
 
 import itertools
+import math
 import random
 import sys
 
@@ -211,6 +217,16 @@ class TestCharpolyRoutes:
                 checked += 1
         assert checked >= 180
 
+    def test_clow_route_on_exponents_rows_above_the_cap(self):
+        """The 126 exponents rows at n = 21..32, which a default verify
+        run checks by the trace recursion alone, and where its slots are
+        narrowest next to the hub's out-degree."""
+        checked = 0
+        for spec, d in _exponents_large():
+            assert charpoly_ldsg(d) == charpoly_exact(d), spec.to_text()
+            checked += 1
+        assert checked == 126
+
     def test_clow_route_on_dense_circulant(self):
         d = build_family(FamilySpec("DCc", 24))
         assert charpoly_ldsg(d) == charpoly_exact(d)
@@ -241,45 +257,106 @@ class TestCharpolyRoutes:
         assert checked >= 20
 
 
-def _list_trace_recursion(d):
+def _list_trace_steps(d):
     """Reference for the packed route: the same recursion on lists of
-    integer rows, A M being the plain matrix product."""
+    integer rows, A M being the plain matrix product (summed over the
+    nonzero entries of A).  Yields (A M_(k-1), M_k, c_k) for k = 1..n."""
     n = d.n
-    a = d.adjacency_matrix()
+    nonzero = [[(h, w) for h, w in enumerate(row) if w] for row in d.adjacency_matrix()]
     m = [[int(i == j) for j in range(n)] for i in range(n)]
-    coeffs = [1]
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
+        am = []
+        for row in nonzero:
+            terms = [m[h] if w == 1 else [w * y for y in m[h]] for h, w in row]
+            am.append(list(map(sum, zip(*terms))) if terms else [0] * n)
         t = sum(am[i][i] for i in range(n))
         assert t % k == 0
-        coeffs.append(-t // k)
+        ck = -t // k
+        m = [row[:] for row in am]
         for i in range(n):
-            am[i][i] += coeffs[-1]
-        m = am
-    return IntPolynomial(list(reversed(coeffs)))
+            m[i][i] += ck
+        yield am, m, ck
+
+
+def _list_trace_recursion(d):
+    return IntPolynomial([ck for _, _, ck in reversed(list(_list_trace_steps(d)))] + [1])
+
+
+def _row_norm_ceilings(d):
+    """rho_v = ceil(||row v||_2) over the arc multiplicities of v."""
+    rho = []
+    for v in range(1, d.n + 1):
+        q = sum(w * w for i, _, w in d.arcs if i == v)
+        rho.append(0 if q == 0 else math.isqrt(q - 1) + 1)
+    return rho
+
+
+def _assert_adjugate_bound(d):
+    """The bound the slot width rests on, checked on the list recursion:
+    |M_k[i][j]| <= e_k(rho) and |(A M_(k-1))[i][j]| <= 2 e_k(rho) at
+    every step, and 2n prod_v (1 + rho_v) < 2^(s-2) for the code's
+    width s.  Returns the characteristic polynomial."""
+    n = d.n
+    rho = _row_norm_ceilings(d)
+    e = [1] + [0] * n  # elementary symmetric polynomials of rho
+    for r in rho:
+        for k in range(n, 0, -1):
+            e[k] += e[k - 1] * r
+    coeffs = [1]
+    for k, (am, m, ck) in enumerate(_list_trace_steps(d), start=1):
+        assert max(map(abs, itertools.chain(*m))) <= e[k], (k, d)
+        assert max(map(abs, itertools.chain(*am))) <= 2 * e[k], (k, d)
+        coeffs.append(ck)
+    assert not any(any(row) for row in m)
+    product = 1
+    for r in rho:
+        product *= 1 + r
+    assert 2 * n * product < 2 ** (spectra._slot_bits(d) - 2), d
+    return IntPolynomial(reversed(coeffs))
+
+
+def _seeded_weighted_digraphs():
+    """n = 1..24, per-vertex densities from 0 (sinks) to 1, so rows mix
+    the two forms, and loop multiplicities up to 2^62 + 1."""
+    rng = random.Random(6262)
+    weights = [1, 1, 2, 3, 2**31, 2**62 + 1]
+    for n in list(range(1, 25)) * 2:
+        density = [rng.choice([0.0, 0.1, 0.5, 0.9, 1.0]) for _ in range(n)]
+        arcs = [
+            (i, j, rng.choice(weights) if i == j else 1)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            if rng.random() < density[i - 1]
+        ]
+        yield build_digraph(n, arcs)
+
+
+def _complete_with_loops(n, loops):
+    return build_digraph(
+        n, [(i, j, loops if i == j else 1) for i in range(1, n + 1) for j in range(1, n + 1)]
+    )
+
+
+def _exponents_large():
+    """Every buildable exponents spec at n = 21..32, above the default cap."""
+    for spec in table_specs("exponents", 21, 32):
+        try:
+            yield spec, build_family(spec)
+        except InvalidParameter:
+            continue
 
 
 class TestPackedTraceRecursion:
-    """charpoly_exact packs each row of M into one int and picks, per
+    """charpoly_exact packs each row of M into one int, in slots sized by
+    the Hadamard bound on the adjugate's coefficients, and picks, per
     vertex, a sum over successors or the column sums minus the
-    non-successors."""
+    non-successors.  Each case also checks that bound on the list
+    recursion."""
 
     def test_matches_list_reference_on_random_digraphs(self):
-        """n = 1..24, per-vertex densities from 0 (sinks) to 1, so rows
-        mix the two forms, and loop multiplicities up to 2^62 + 1, which
-        need wide slots."""
-        rng = random.Random(6262)
-        weights = [1, 1, 2, 3, 2**31, 2**62 + 1]
-        for n in list(range(1, 25)) * 2:
-            density = [rng.choice([0.0, 0.1, 0.5, 0.9, 1.0]) for _ in range(n)]
-            arcs = [
-                (i, j, rng.choice(weights) if i == j else 1)
-                for i in range(1, n + 1)
-                for j in range(1, n + 1)
-                if rng.random() < density[i - 1]
-            ]
-            d = build_digraph(n, arcs)
-            assert charpoly_exact(d) == _list_trace_recursion(d), (n, arcs)
+        """Slots wide enough for loop multiplicities up to 2^62 + 1."""
+        for d in _seeded_weighted_digraphs():
+            assert charpoly_exact(d) == _assert_adjugate_bound(d), d
 
     def test_matches_list_reference_on_dense_complements(self):
         """Complements of sparse simple digraphs, alone and with weighted
@@ -299,20 +376,43 @@ class TestPackedTraceRecursion:
             d = complement(sparse)
             loops = [(v, v, rng.randint(1, 5)) for v in range(1, n + 1) if rng.random() < 0.5]
             for graph in (d, build_digraph(n, [a[:2] for a in d.arcs] + loops)):
-                assert charpoly_exact(graph) == _list_trace_recursion(graph), graph
+                assert charpoly_exact(graph) == _assert_adjugate_bound(graph), graph
 
     @pytest.mark.parametrize("loops", [1, 3, 2**40 + 7])
     def test_complete_digraph_with_loops(self, loops):
         """A = J + (m - 1) I at n = 32: (x - m - n + 1)(x - m + 1)^(n-1),
         with large negative coefficients."""
         n = 32
-        d = build_digraph(
-            n, [(i, j, loops if i == j else 1) for i in range(1, n + 1) for j in range(1, n + 1)]
-        )
+        d = _complete_with_loops(n, loops)
         expected = IntPolynomial([-(loops + n - 1), 1])
         for _ in range(n - 1):
             expected = expected * IntPolynomial([-(loops - 1), 1])
         assert charpoly_exact(d) == expected
+        assert _assert_adjugate_bound(d) == expected
+
+    def test_matches_list_reference_above_the_cap(self):
+        """The exponents rows at n = 21..32, where a hub row is much wider
+        than the others and the slots narrow most."""
+        checked = 0
+        for spec, d in _exponents_large():
+            assert charpoly_exact(d) == _assert_adjugate_bound(d), spec.to_text()
+            checked += 1
+        assert checked == 126
+
+    def test_too_narrow_slots_are_caught(self, monkeypatch):
+        """8-bit slots overflow: the assertions or the list reference
+        catch it on the sampled digraphs."""
+        monkeypatch.setattr(spectra, "_slot_bits", lambda d: 8)
+        sample = list(itertools.islice(_seeded_weighted_digraphs(), 0, 48, 6))
+        sample += [d for _, d in itertools.islice(_exponents_large(), 0, 126, 25)]
+        sample.append(_complete_with_loops(12, 3))
+        caught = 0
+        for d in sample:
+            try:
+                caught += charpoly_exact(d) != _list_trace_recursion(d)
+            except AssertionError:
+                caught += 1
+        assert caught > 0
 
 
 # -- explicit cycle-cover listing -------------------------------------
