@@ -110,8 +110,9 @@ def build_digraph(n: int, arcs) -> Digraph:
         if not isinstance(entry, (tuple, list)) or len(entry) not in (2, 3):
             raise ValueError(f"arc entries must be (i, j) or (i, j, mult), got {entry!r}")
         i, j, m = entry if len(entry) == 3 else (*entry, 1)
-        for value in (i, j, m):
-            _require_int(value, f"arc {entry!r} component")
+        if not (type(i) is int and type(j) is int and type(m) is int):
+            for value in (i, j, m):
+                _require_int(value, f"arc {entry!r} component")
         if not (1 <= i <= n and 1 <= j <= n):
             raise IndexOutOfRange(f"arc ({i}, {j}) outside vertex range 1..{n}")
         if m < 1:
@@ -122,7 +123,7 @@ def build_digraph(n: int, arcs) -> Digraph:
             if m > 1 or (i, j) in merged:
                 raise ParallelNonLoopArc(f"parallel non-loop arc ({i}, {j})")
             merged[(i, j)] = 1
-    triples = tuple(sorted((i, j, m) for (i, j), m in merged.items()))
+    triples = tuple(sorted([(i, j, m) for (i, j), m in merged.items()]))
     return Digraph(n=n, arcs=triples)
 
 

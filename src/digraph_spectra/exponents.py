@@ -6,7 +6,8 @@ positive.  The iteration packs each boolean row into an int bitmask and
 forms A^(k+1) = A A^k by pushing the powers through the successor table
 ``d.rows``: row i is the OR of the rows of A^k at i's successors, one OR
 per arc per step.  It is guarded by the (n-1)^2 + 1 bound on primitive
-exponents, which is an assertion, not a tunable.
+exponents, which is a checked theorem, not a tunable: passing it raises
+ExactnessCheckFailed.
 
 The witness pair of an exponent result is the lexicographically
 smallest (i, j) with no walk of length exponent-1 from i to j, the
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import Digraph, _level_gcd, is_strongly_connected
+from .polynomial import ExactnessCheckFailed
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,8 @@ def exponent(d: Digraph) -> ExponentResult:
                 acc |= previous[h]
             power.append(acc)
         e += 1
-        assert e <= bound, "exponent exceeded the primitive-digraph bound"
+        if e > bound:
+            raise ExactnessCheckFailed("exponent exceeded the primitive-digraph bound")
     witness = None
     if previous is not None:
         for i in range(n):

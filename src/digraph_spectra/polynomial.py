@@ -7,8 +7,8 @@ helpers used elsewhere in the package:
 
 * cyclotomic polynomials by exact division of x^d - 1,
 * gcd over Q via a primitive pseudo-remainder sequence (result is
-  primitive with positive leading coefficient), unless a unit gcd mod a
-  prime already proves the inputs coprime,
+  primitive with positive leading coefficient), unless a unit gcd mod 2,
+  or else mod a large prime, already proves the inputs coprime,
 * gcd over F2 on bit-packed residues,
 * squarefree tests over Q and over F2 (the F2 verdict is one-directional:
   True implies squarefree over Q),
@@ -34,6 +34,11 @@ from typing import Iterable
 
 class InexactDivision(ArithmeticError):
     """Division produced a non-integer quotient or remainder."""
+
+
+class ExactnessCheckFailed(ArithmeticError):
+    """An exact computation failed its own closing check, so its result
+    would be wrong; raised explicitly so that it survives ``python -O``."""
 
 
 class BothZeroMod2(ValueError):
@@ -380,7 +385,8 @@ def cyclotomic(d: int) -> IntPolynomial:
     for e in range(1, d):
         if d % e == 0:
             numerator = numerator.exact_div(cyclotomic(e))
-    assert numerator.is_monic and numerator.degree == _totient(d)
+    if not (numerator.is_monic and numerator.degree == _totient(d)):
+        raise ExactnessCheckFailed(f"cyclotomic({d}) is not monic of degree phi({d})")
     return numerator
 
 
@@ -400,17 +406,23 @@ def gcd_over_q(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     """gcd in Q[x], returned primitive in Z[x] with positive leading
     coefficient; gcd(f, 0) = normalized f; both zero is an error.
 
-    When deg f >= 1 and P = ``MINPOLY_PRIME`` does not divide lc(f), a
-    unit gcd of the reductions mod P proves the answer 1: a primitive
-    common factor h of degree >= 1 divides f in Z[x], so lc(h) divides
-    lc(f) and h mod P keeps its degree and divides both reductions.
-    (For g = f' this says the resultant of f and f' is nonzero mod P,
-    hence nonzero.)  Every other case runs the primitive pseudo-remainder
-    sequence, so the result is always the exact gcd."""
+    Two first tiers can prove the answer 1 when deg f >= 1: a unit gcd
+    of the reductions mod 2, tried when lc(f) is odd, then a unit gcd
+    mod P = ``MINPOLY_PRIME``, tried when P does not divide lc(f).  The
+    argument is the same for both moduli q: a primitive common factor h
+    of degree >= 1 divides f in Z[x], so lc(h) divides lc(f), h mod q
+    keeps its degree and divides both reductions, whose gcd is then no
+    unit.  (For g = f' a unit gcd says the resultant of f and f' is
+    nonzero mod q, hence nonzero.)  Every other case runs the primitive
+    pseudo-remainder sequence, so the result is always the exact gcd."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    if f.degree >= 1 and f.leading_coefficient % MINPOLY_PRIME and _unit_gcd_mod_p(f, g):
-        return IntPolynomial.one()
+    if f.degree >= 1:
+        lead = f.leading_coefficient
+        if lead & 1 and gcd_over_f2(f, g).degree == 0:
+            return IntPolynomial.one()
+        if lead % MINPOLY_PRIME and _unit_gcd_mod_p(f, g):
+            return IntPolynomial.one()
     a = f.primitive_part()
     b = g.primitive_part()
     if a.degree < b.degree:
@@ -481,18 +493,16 @@ def is_squarefree(f: IntPolynomial, field: str = "Q") -> bool:
     """True iff f is coprime with its derivative over the given field.
 
     Over F2 the test works on the mod-2 reduction, so True implies
-    squarefree over Q but False is inconclusive; a polynomial that
-    vanishes mod 2 reports False.
+    squarefree over Q (the argument of :func:`gcd_over_q`) but False is
+    inconclusive; a polynomial with an even leading coefficient, whose
+    degree drops mod 2, reports False.
     """
     if f.degree < 1:
         raise ValueError("squarefree test needs degree >= 1")
     if field == "Q":
         return gcd_over_q(f, f.derivative()).degree == 0
     if field == "F2":
-        try:
-            return gcd_over_f2(f, f.derivative()).degree == 0
-        except BothZeroMod2:
-            return False
+        return bool(f.leading_coefficient & 1) and gcd_over_f2(f, f.derivative()).degree == 0
     raise ValueError(f"unknown field {field!r}, expected 'Q' or 'F2'")
 
 

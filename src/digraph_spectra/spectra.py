@@ -3,7 +3,7 @@
 Two independent routes to the characteristic polynomial:
 
 * :func:`charpoly_exact` runs the trace recursion on exact integer
-  matrices (each division is provably exact and asserted), each row
+  matrices (each division is provably exact and checked), each row
   packed into one int in slots sized by Hadamard's bound on the
   coefficients of adj(xI - A), which needs only the row norms of A, so
   a row of A M is one big-int add per arc and the trace is read from
@@ -23,14 +23,18 @@ assertion by the verification pipeline.  Both run whenever asked;
 :func:`resolve_enumeration_cap` is only the verification pipeline's
 choice of which rows get the second route.
 
-The minimal polynomial is the lcm of the unit vectors' Krylov minimal
-polynomials modulo the prime P = 2^61 - 1, e_1 first, each read off one
-elimination by back-substitution; each Krylov step is one
-``Digraph.times``.  Degree n mod P is degree n over Q, so the result is
-then the characteristic polynomial; below degree n the lifted result is
-certified over Z, with an exact rational rerun as the fallback.  A
-digraph is non-derogatory when the minimal polynomial has full degree
-n, which the search alone shows.
+The minimal polynomial comes from Krylov sequences in two tiers.  The
+first works mod 2 on bitmasks: when e_1, A e_1, ..., A^(n-1) e_1 are
+independent mod 2, e_1 is a cyclic vector over Q and the minimal
+polynomial is the characteristic polynomial.  Otherwise it is the lcm of
+the unit vectors' Krylov minimal polynomials modulo the prime
+P = 2^61 - 1, e_1 first, each read off one elimination by
+back-substitution; each Krylov step is one ``Digraph.times``.  Degree n
+mod P is degree n over Q, so the result is then the characteristic
+polynomial; below degree n the lifted result is certified over Z, with
+an exact rational rerun as the fallback.  A digraph is non-derogatory
+when the minimal polynomial has full degree n, which the Krylov ranks
+alone show.
 
 :func:`triangular_certificate` searches for a sufficient witness: an
 ordered arc matching on n-1 rows and columns of xI - A whose staircase
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .digraph import Digraph
-from .polynomial import MINPOLY_PRIME, IntPolynomial
+from .polynomial import MINPOLY_PRIME, ExactnessCheckFailed, IntPolynomial
 
 DEFAULT_ENUMERATION_CAP = 12
 CAP_ENV_VAR = "DIGRAPH_SPECTRA_CAP"
@@ -82,8 +86,9 @@ def charpoly_exact(d: Digraph) -> IntPolynomial:
 
     Iterates M_0 = I, M_k = A M_(k-1) + c_k I with
     c_k = -trace(A M_(k-1)) / k; every division is exact for integer
-    matrices and is asserted, and M_n = 0 (Cayley-Hamilton) is asserted
-    at the end.  The update + c_k I is skipped when c_k = 0.
+    matrices and is checked, and M_n = 0 (Cayley-Hamilton) is checked at
+    the end; a failed check raises ExactnessCheckFailed.  The update
+    + c_k I is skipped when c_k = 0.
 
     Each row of M is one int, entry j in slot j: M[i][j] * 2^(s*j)
     summed over j, with s from :func:`_slot_bits`.  Row v of A M is
@@ -153,13 +158,15 @@ def charpoly_exact(d: Digraph) -> IntPolynomial:
             lifted = (lifted << s) + x
         u = (lifted if low < 0 else ((lifted >> low) + 1) >> 1) & (size - 1)
         t = u - size if u >= size >> 1 else u
-        assert t % k == 0, "trace recursion produced a non-integer coefficient"
+        if t % k:
+            raise ExactnessCheckFailed("trace recursion produced a non-integer coefficient")
         ck = -t // k
         coeffs.append(ck)
         if ck:
             am = [x + (ck << shift) for x, shift in zip(am, diagonal)]
         m = am
-    assert not any(m), "trace recursion did not end in the zero matrix"
+    if any(m):
+        raise ExactnessCheckFailed("trace recursion did not end in the zero matrix")
     return IntPolynomial(reversed(coeffs))
 
 
@@ -285,20 +292,31 @@ def charpoly_ldsg(d: Digraph) -> IntPolynomial:
 def minimal_polynomial(d: Digraph, charpoly: IntPolynomial | None = None) -> IntPolynomial:
     """Monic generator of the polynomials f with f(A) = 0.
 
-    The search runs modulo P = ``MINPOLY_PRIME`` from Krylov sequences
-    of unit vectors (Wiedemann 1986), e_1 first.  For j = 1, 2, ... it
-    forms v = m(A) e_j, finds the minimal polynomial g of v's sequence
-    v, Av, A^2 v, ... and replaces m by m g = lcm(m, minpoly(e_j)),
-    until deg m = n or every e_j is processed; m is then A's minimal
+    First tier, mod 2: when :func:`_cyclic_mod_2` finds e_1, A e_1, ...,
+    A^(n-1) e_1 independent mod 2, the integer Krylov matrix has an odd,
+    hence nonzero, determinant, so e_1 is a cyclic vector over Q and the
+    minimal polynomial is the characteristic polynomial.  That is
+    ``charpoly_exact(d)``, or the given ``charpoly`` once it is monic of
+    degree n with charpoly(A) e_1 = 0 over Z.  That check proves
+    charpoly(A) = 0, since charpoly(A) A^k e_1 = A^k charpoly(A) e_1 and
+    the A^k e_1 span; and a monic f of degree n with f(A) e_1 = 0 is the
+    Krylov minimal polynomial of the cyclic e_1, the characteristic
+    polynomial.
+
+    Second tier, mod P = ``MINPOLY_PRIME``: Krylov sequences of unit
+    vectors (Wiedemann 1986), e_1 first.  For j = 1, 2, ... it forms
+    v = m(A) e_j, finds the minimal polynomial g of v's sequence v, Av,
+    A^2 v, ... and replaces m by m g = lcm(m, minpoly(e_j)), until
+    deg m = n or every e_j is processed; m is then A's minimal
     polynomial mod P, lifted to (-P/2, P/2].  The true minimal
     polynomial is a monic integer polynomial that m divides mod P.
 
-    So deg m = n (on most digraphs e_1 alone, a cyclic vector, gets
-    there) means the characteristic polynomial: ``charpoly`` when given
-    (the caller's ``charpoly_exact(d)``, whose Cayley-Hamilton check is
-    exact), else ``charpoly_exact(d)``.  A given ``charpoly`` must then
-    be monic of degree n and congruent to m, the characteristic
-    polynomial of A mod P, coefficient by coefficient.
+    So deg m = n means the characteristic polynomial again:
+    ``charpoly`` when given (the caller's ``charpoly_exact(d)``, whose
+    Cayley-Hamilton check is exact), else ``charpoly_exact(d)``.  A
+    given ``charpoly`` must then be monic of degree n and congruent to
+    m, the characteristic polynomial of A mod P, coefficient by
+    coefficient.
 
     Below degree n every e_j was processed, and m(A) e_j = 0 checked
     exactly for all of them proves m(A) = 0; an integer annihilator is a
@@ -309,17 +327,62 @@ def minimal_polynomial(d: Digraph, charpoly: IntPolynomial | None = None) -> Int
     checked the same way.  A wrong ``charpoly`` raises ValueError.
     """
     n = d.n
-    m, processed = _minimal_polynomial_mod_p(d)
+    m, processed = _krylov_tiers(d)
     if charpoly is not None:
         if not (charpoly.is_monic and charpoly.degree == n) or (
             any((a - b) % MINPOLY_PRIME for a, b in zip(charpoly.coeffs, m.coeffs))
-            if m.degree == n
+            if m is not None and m.degree == n
             else not _annihilates(charpoly, d, processed)
         ):
             raise ValueError(f"{charpoly} is not the characteristic polynomial of the digraph")
-    if m.degree == n:
+    if m is None or m.degree == n:
         return charpoly if charpoly is not None else charpoly_exact(d)
     return _certified(m, d, processed)
+
+
+def _krylov_tiers(d: Digraph) -> tuple[IntPolynomial | None, range]:
+    """The minimal polynomial's two tiers: (None, range(1, 2)) when e_1
+    is cyclic mod 2, so the answer is the characteristic polynomial,
+    else the mod-P search's (m, processed)."""
+    if _cyclic_mod_2(d):
+        return None, range(1, 2)
+    return _minimal_polynomial_mod_p(d)
+
+
+def _cyclic_mod_2(d: Digraph) -> bool:
+    """Whether e_1, A e_1, ..., A^(n-1) e_1 have rank n mod 2.
+
+    A mod 2 is packed into n column bitmasks (bit v of column h set when
+    arc (v, h) has odd multiplicity), so A v mod 2 is the XOR of the
+    columns at v's set bits.  Each Krylov vector is reduced by XOR
+    against the basis rows with its leading bit; the first one that
+    reduces to zero ends the sequence below rank n."""
+    n = d.n
+    columns = [0] * n
+    for v, row in enumerate(d.rows):
+        for h, w in row:
+            if w & 1:
+                columns[h] |= 1 << v
+    basis: dict[int, int] = {}  # leading bit -> basis row
+    v = 1  # e_1
+    for k in range(n):
+        x = v
+        while x:
+            top = x.bit_length() - 1
+            if top not in basis:
+                basis[top] = x
+                break
+            x ^= basis[top]
+        else:
+            return False
+        if k < n - 1:
+            acc = 0
+            while v:
+                low = v & -v
+                acc ^= columns[low.bit_length() - 1]
+                v ^= low
+            v = acc
+    return True
 
 
 def _minimal_polynomial_mod_p(d: Digraph) -> tuple[IntPolynomial, range]:
@@ -395,16 +458,15 @@ def _certified(m: IntPolynomial, d: Digraph, processed: range) -> IntPolynomial:
     if _annihilates(m, d, processed):
         return m
     m = _minimal_polynomial_rational(d)
-    assert _annihilates(m, d, range(1, d.n + 1)), (
-        "rational minimal polynomial does not annihilate A"
-    )
+    if not _annihilates(m, d, range(1, d.n + 1)):
+        raise ExactnessCheckFailed("rational minimal polynomial does not annihilate A")
     return m
 
 
 def _minimal_polynomial_rational(d: Digraph) -> IntPolynomial:
     """First dependence among the flattened powers I, A, A^2, ... with
     exact rationals; the coefficients are integral for integer matrices
-    (asserted).  The fallback of the modular search, and its reference
+    (checked).  The fallback of the modular search, and its reference
     in the tests.  A^k is kept as its columns, each pushed by A v."""
     n = d.n
     dim = n * n
@@ -425,9 +487,8 @@ def _minimal_polynomial_rational(d: Digraph) -> IntPolynomial:
         pivot = next((idx for idx in range(dim) if vec[idx]), None)
         if pivot is None:
             # combo expresses the zero matrix; leading term is x^power.
-            assert combo[power] == 1
-            for c in combo:
-                assert c.denominator == 1, "minimal polynomial coefficient not integral"
+            if combo[power] != 1 or any(c.denominator != 1 for c in combo):
+                raise ExactnessCheckFailed("rational minimal polynomial is not monic and integral")
             return IntPolynomial(int(c) for c in combo)
         inv = vec[pivot]
         vec = [c / inv for c in vec]
@@ -435,15 +496,16 @@ def _minimal_polynomial_rational(d: Digraph) -> IntPolynomial:
         basis.append((pivot, vec, bcombo))
         columns = [d.times(col) for col in columns]
         power += 1
-        assert power <= n, "no dependence found within n+1 powers"
+        if power > n:
+            raise ExactnessCheckFailed("no dependence found within n+1 powers")
 
 
 def minimal_polynomial_degree(d: Digraph) -> int:
-    """Degree of the minimal polynomial: the search of
+    """Degree of the minimal polynomial: the tiers of
     :func:`minimal_polynomial` run once, certified only below degree n,
     never forming the characteristic polynomial."""
-    m, processed = _minimal_polynomial_mod_p(d)
-    return d.n if m.degree == d.n else _certified(m, d, processed).degree
+    m, processed = _krylov_tiers(d)
+    return d.n if m is None or m.degree == d.n else _certified(m, d, processed).degree
 
 
 def is_non_derogatory(d: Digraph) -> bool:

@@ -18,6 +18,9 @@ Core claims:
     - a route disagreement exits 2 and names the first differing
       coefficient; agreeing output carries no such line or key
     - JSON output is deterministic, byte for byte
+    - bad input is checked through cli.main in this interpreter; module
+      invocation, the no-argument usage and a deeply nested digraph file
+      also run as python -m digraph_spectra in a fresh one
     - --file accepts both serializations, --out writes instead of
       printing, --n parses a..b ranges
 """
@@ -46,6 +49,12 @@ def run_cli(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         rc = main(list(argv))
     return rc, out.getvalue(), err.getvalue()
+
+
+def run_in_process(*argv):
+    """``cli.main(argv)`` in this interpreter, shaped like a finished
+    process: main returns its exit code and never exits."""
+    return CompletedProcess(argv, *run_cli(*argv))
 
 
 # -- build ------------------------------------------------------------
@@ -297,6 +306,13 @@ class TestProcess:
         assert proc.returncode != 0
         assert "usage" in (proc.stderr + proc.stdout).lower()
 
+    def test_deeply_nested_json_digraph(self, tmp_path):
+        """The interpreter's own recursion limit and stack, not pytest's."""
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 3, "arcs": ' + "[" * 100000)
+        proc = run_process("charpoly", f"--file={path}")
+        TestBadInput._assert_one_line_error(proc, "nests too deeply")
+
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -312,40 +328,39 @@ class TestBadInput:
     def test_malformed_json_digraph(self, tmp_path, doc, message):
         path = tmp_path / "g.json"
         path.write_text(json.dumps(doc))
-        proc = run_process("charpoly", f"--file={path}")
-        self._assert_one_line_error(proc, message)
+        self._assert_one_line_error(run_in_process("charpoly", f"--file={path}"), message)
 
     def test_unbalanced_inner_spec(self):
-        proc = run_process("minpoly", "family=Complement", "n=5", "inner=(family=DCn", "n=5")
+        proc = run_in_process("minpoly", "family=Complement", "n=5", "inner=(family=DCn", "n=5")
         self._assert_one_line_error(proc, "unbalanced parentheses after inner=(")
 
     def test_repeated_spec_key(self):
-        proc = run_process("charpoly", "family=DCn", "n=5", "n=7")
+        proc = run_in_process("charpoly", "family=DCn", "n=5", "n=7")
         self._assert_one_line_error(proc, "repeated spec key 'n'")
 
     def test_deeply_nested_spec(self):
         spec = "family=Complement n=3"
         for _ in range(1000):
             spec = f"family=Complement n=3 inner=({spec})"
-        argv = ("build", *spec.split(" ", 2))
-        rc, out, err = run_cli(*argv)
-        self._assert_one_line_error(CompletedProcess(argv, rc, out, err), "nests more than")
+        self._assert_one_line_error(
+            run_in_process("build", *spec.split(" ", 2)), "nests more than"
+        )
 
     def test_deeply_nested_json_digraph(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text('{"n": 3, "arcs": ' + "[" * 100000)
-        argv = ("charpoly", f"--file={path}")
-        rc, out, err = run_cli(*argv)
-        self._assert_one_line_error(CompletedProcess(argv, rc, out, err), "nests too deeply")
+        self._assert_one_line_error(
+            run_in_process("charpoly", f"--file={path}"), "nests too deeply"
+        )
 
     @pytest.mark.parametrize("n_range", ["9..5", "0..3", "-2"])
     def test_empty_or_nonpositive_n_range(self, n_range):
-        proc = run_process("verify", "--table=cdf", f"--n={n_range}")
+        proc = run_in_process("verify", "--table=cdf", f"--n={n_range}")
         self._assert_one_line_error(proc, "--n range")
 
     @pytest.mark.parametrize("n_range", ["", "3..x", "..4"])
     def test_malformed_n_range(self, n_range):
-        proc = run_process("verify", "--table=cdf", f"--n={n_range}")
+        proc = run_in_process("verify", "--table=cdf", f"--n={n_range}")
         self._assert_one_line_error(
             proc, f"--n range must be n or lo..hi with integers, got {n_range!r}"
         )
@@ -373,9 +388,9 @@ class TestBadInput:
         ],
     )
     def test_usage_error_returns_1(self, argv, message):
-        rc, out, err = run_cli(*argv)
-        self._assert_one_line_error(CompletedProcess(argv, rc, out, err), message)
-        assert "usage" in err
+        proc = run_in_process(*argv)
+        self._assert_one_line_error(proc, message)
+        assert "usage" in proc.stderr
 
     def test_help_still_exits_0(self):
         with pytest.raises(SystemExit) as exit_info:
@@ -385,7 +400,7 @@ class TestBadInput:
     @pytest.mark.parametrize("command", [("verify", "--table=cdc", "--n=5..5")])
     def test_nonpositive_cap_env(self, monkeypatch, command):
         monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "-1")
-        proc = run_process(*command)
+        proc = run_in_process(*command)
         self._assert_one_line_error(proc, "DIGRAPH_SPECTRA_CAP must be at least 1")
 
     @staticmethod

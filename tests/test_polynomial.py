@@ -8,13 +8,17 @@ Core claims:
       integer long division agrees with rational long division
     - cyclotomic(d) satisfies prod_{d|n} Phi_d = x^n - 1 for n <= 30
     - gcd over Q is primitive with positive leading coefficient and
-      divides both inputs exactly; its unit-gcd-mod-P early exit agrees
-      with the plain primitive PRS on seeded pairs, non-primitive
-      inputs, constants and inputs whose leading coefficient or whole
-      second argument vanishes mod P
+      divides both inputs exactly; its unit-gcd early exits mod 2 and
+      mod P agree with the plain primitive PRS on seeded pairs,
+      non-primitive inputs, constants, even leading coefficients and
+      inputs whose leading coefficient or whole second argument vanishes
+      mod P; against sympy's gcd on those pairs and on (psi, psi') for
+      every characteristic polynomial of the default non-exponents
+      table rows
     - gcd over F2 works on bit-packed images; both-zero input is an error
-    - squarefree tests over Q and F2, and F2-squarefree implies
-      Q-squarefree on every family polynomial with n <= 14
+    - squarefree tests over Q and F2, an even leading coefficient makes
+      the F2 verdict False, and F2-squarefree implies squarefree by the
+      plain primitive PRS on family polynomials with n <= 14
     - Perron dominance and Brauer form classification match the
       worked instances; true Perron verdicts are cross-checked by the
       complete monic-factor search for degree <= 6, whose integer
@@ -58,6 +62,8 @@ from digraph_spectra import (
     perron_margin,
     table_specs,
 )
+from digraph_spectra import polynomial
+from digraph_spectra.families import DEFAULT_RANGES
 from digraph_spectra.polynomial import (
     MINPOLY_PRIME as P,
     _interp_points,
@@ -378,6 +384,11 @@ class TestGcdQModularShortcut:
             (X * X - 1, P * (X - 1)),
             (X * X - 1, P * (X + 2)),
             (_poly(3, 1), _poly(P)),
+            # even leading coefficient: the degree drops mod 2
+            (_poly(1, 4, 4), _poly(4, 8)),
+            (_poly(1, 2, 2), _poly(2, 4)),
+            # odd leading coefficient, g even: the gcd mod 2 is f mod 2
+            (_poly(1, 0, 1), _poly(2, 2)),
         ]
         return [(f, g) for f, g in pairs if not (f.is_zero and g.is_zero)]
 
@@ -389,6 +400,21 @@ class TestGcdQModularShortcut:
         f, g = (P * X + 1) * X, P * X + 1
         assert _unit_gcd_mod_p(f, g)  # the reductions x and 1 are coprime
         assert gcd_over_q(f, g) == P * X + 1
+
+    def test_unit_gcd_mod_2_answers_first(self, monkeypatch):
+        """An odd leading coefficient and a unit gcd mod 2 decide the
+        answer before the mod-P Euclid runs; otherwise it still runs."""
+
+        def unused(*_):
+            raise AssertionError("the mod-P tier ran after a unit gcd mod 2")
+
+        f = IntPolynomial.parse("x^8 - x^5 - x^3 - x - 1")
+        assert gcd_over_f2(f, f.derivative()) == ONE
+        monkeypatch.setattr(polynomial, "_unit_gcd_mod_p", unused)
+        assert gcd_over_q(f, f.derivative()) == ONE
+        # x^2 + 1 = (x + 1)^2 mod 2, squarefree over Q: mod P decides it
+        with pytest.raises(AssertionError, match="mod-P tier"):
+            gcd_over_q(_poly(1, 0, 1), _poly(0, 2))
 
     def test_unit_gcd_mod_p_on_shared_and_coprime_factors(self):
         assert not _unit_gcd_mod_p(X * X - 1, X - 1)
@@ -437,6 +463,53 @@ def _divides_over_q(d, f):
     return r.is_zero
 
 
+def _deep_row_charpolys():
+    """The distinct characteristic polynomials of the default rows of
+    every table but exponents, the rows whose verdicts need gcds."""
+    found = {}
+    for table in TABLE_NAMES:
+        if table == "exponents":
+            continue
+        for spec in table_specs(table, *DEFAULT_RANGES[table]):
+            try:
+                psi = charpoly_exact(build_family(spec))
+            except InvalidParameter:
+                continue
+            found[psi.coeffs] = psi
+    return list(found.values())
+
+
+class TestGcdQOracle:
+    """gcd_over_q against sympy's gcd, made primitive with a positive
+    leading coefficient."""
+
+    @staticmethod
+    def _sympy_gcd(sp, x, f, g):
+        h = sp.Poly(list(reversed(f.coeffs)) or [0], x).gcd(
+            sp.Poly(list(reversed(g.coeffs)) or [0], x)
+        )
+        _, h = h.primitive()
+        coeffs = [int(c) for c in reversed(h.all_coeffs())]
+        return -IntPolynomial(coeffs) if coeffs[-1] < 0 else IntPolynomial(coeffs)
+
+    def test_seeded_pairs(self):
+        sp = pytest.importorskip("sympy")
+        x = sp.Symbol("x")
+        for f, g in TestGcdQModularShortcut._pairs():
+            assert gcd_over_q(f, g) == self._sympy_gcd(sp, x, f, g), (f, g)
+
+    def test_deep_row_charpolys_and_derivatives(self):
+        sp = pytest.importorskip("sympy")
+        x = sp.Symbol("x")
+        charpolys = _deep_row_charpolys()
+        repeated = 0
+        for psi in charpolys:
+            expected = self._sympy_gcd(sp, x, psi, psi.derivative())
+            assert gcd_over_q(psi, psi.derivative()) == expected, str(psi)
+            repeated += expected.degree > 0
+        assert len(charpolys) > 300 and repeated > 10
+
+
 # -- gcd over F2 ------------------------------------------------------
 
 
@@ -471,6 +544,15 @@ class TestSquarefree:
     def test_over_f2(self):
         assert is_squarefree(IntPolynomial.parse("x^7 - 3x^4 - 2x^2 - 1"), "F2")
 
+    def test_even_leading_coefficient_is_inconclusive_over_f2(self):
+        # 4x^2 + 4x + 1 = (2x + 1)^2 reduces to the unit 1 mod 2
+        square = _poly(1, 4, 4)
+        assert not is_squarefree(square, "Q")
+        assert not is_squarefree(square, "F2")
+        # squarefree over Q, still False over F2
+        assert is_squarefree(_poly(1, 0, 2), "Q")
+        assert not is_squarefree(_poly(1, 0, 2), "F2")
+
     def test_unknown_field(self):
         with pytest.raises(ValueError):
             is_squarefree(ONE, "F3")
@@ -483,10 +565,14 @@ class TestSquarefree:
         ] + [
             "family=PDF n=%d" % n for n in range(4, 15)
         ]
+        f2_squarefree = 0
         for text in texts:
             psi = charpoly_exact(build_family(parse_family_spec(text)))
             if is_squarefree(psi, "F2"):
-                assert is_squarefree(psi, "Q"), text
+                # the reference PRS, since "Q" itself asks mod 2 first
+                assert _reference_gcd_over_q(psi, psi.derivative()) == ONE, text
+                f2_squarefree += 1
+        assert f2_squarefree > 5
 
 
 # -- irreducibility criteria ------------------------------------------

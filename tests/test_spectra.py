@@ -17,7 +17,8 @@ Core claims:
       n = 21..32; on all of them every entry of M_k is at most e_k(rho)
       and every entry of A M_(k-1) at most 2 e_k(rho), rho_v being the
       rounded-up 2-norm of row v, and the code's slot width s has
-      2n prod_v (1 + rho_v) < 2^(s-2); 8-bit slots are caught
+      2n prod_v (1 + rho_v) < 2^(s-2); 8-bit slots are caught, by an
+      explicit ExactnessCheckFailed that also fires under python -O
     - the clow route runs at any n; DIGRAPH_SPECTRA_CAP, which only
       chooses the verify rows that get it, must be an integer of at
       least 1 rather than switching the route off
@@ -34,12 +35,17 @@ Core claims:
       back-substitution is monic, annihilates its vector mod P and has
       the degree of a test-local Krylov rank mod P (n = 1, sinks, loop
       multiplicities, the zero vector)
-    - a cyclic e_1 ends the search after one vector and returns the
-      characteristic polynomial without the Z certificate, and without
-      charpoly_exact when the caller passes it (both forms checked
-      against the rational elimination); a wrong charpoly raises; the
-      derogatory 3-cycle plus looped vertex (e_1 of rank n - 1) still
-      gets x^3 - 1 from the certified search
+    - the GF(2) tier's Krylov rank test on e_1 agrees with a test-local
+      Gauss-Jordan rank mod 2 of all n Krylov vectors on the family
+      sweep and on seeded loop digraphs with even and odd loop
+      multiplicities (rank n - 1 cases included), and says no on every
+      derogatory digraph
+    - a cyclic e_1 mod 2 skips both mod-P searches and returns the
+      characteristic polynomial, checking a passed one exactly on e_1
+      alone; a cyclic e_1 mod P ends the mod-P search after one vector;
+      a wrong charpoly raises, also one that agrees with the true one
+      mod 2; the derogatory 3-cycle plus looped vertex (e_1 of rank
+      n - 1) still gets x^3 - 1 from the certified search
     - squarefree characteristic polynomial implies non-derogatory, and
       the non-derogatory verdict never calls the squarefree test; on a
       cyclic e_1 it never forms the characteristic polynomial, and on a
@@ -60,6 +66,7 @@ import pytest
 
 from digraph_spectra import (
     Digraph,
+    ExactnessCheckFailed,
     FamilySpec,
     InvalidParameter,
     IntPolynomial,
@@ -80,7 +87,7 @@ from digraph_spectra.families import DEFAULT_RANGES, TABLE_NAMES
 from digraph_spectra import spectra
 from digraph_spectra.spectra import resolve_enumeration_cap
 
-from conftest import mat_mul
+from conftest import mat_mul, run_python
 
 P = spectra.MINPOLY_PRIME
 
@@ -400,8 +407,8 @@ class TestPackedTraceRecursion:
         assert checked == 126
 
     def test_too_narrow_slots_are_caught(self, monkeypatch):
-        """8-bit slots overflow: the assertions or the list reference
-        catch it on the sampled digraphs."""
+        """8-bit slots overflow: the exactness checks or the list
+        reference catch it on the sampled digraphs."""
         monkeypatch.setattr(spectra, "_slot_bits", lambda d: 8)
         sample = list(itertools.islice(_seeded_weighted_digraphs(), 0, 48, 6))
         sample += [d for _, d in itertools.islice(_exponents_large(), 0, 126, 25)]
@@ -410,9 +417,25 @@ class TestPackedTraceRecursion:
         for d in sample:
             try:
                 caught += charpoly_exact(d) != _list_trace_recursion(d)
-            except AssertionError:
+            except ExactnessCheckFailed:
                 caught += 1
         assert caught > 0
+
+    def test_too_narrow_slots_raise_under_optimize(self):
+        """The exactness checks are explicit raises, so ``python -O``
+        keeps them: 8-bit slots on the complete digraph with triple
+        loops at n = 12 raise instead of returning a wrong polynomial."""
+        code = (
+            "from digraph_spectra import build_digraph, spectra\n"
+            "print(__debug__)\n"
+            "spectra._slot_bits = lambda d: 8\n"
+            "n = 12\n"
+            "arcs = [(i, j, 3 if i == j else 1) for i in range(1, n + 1) for j in range(1, n + 1)]\n"
+            "print(spectra.charpoly_exact(build_digraph(n, arcs)))\n"
+        )
+        proc = run_python("-O", "-c", code)
+        assert proc.returncode == 1 and proc.stdout == "False\n", proc.stdout
+        assert "ExactnessCheckFailed: trace recursion" in proc.stderr
 
 
 # -- explicit cycle-cover listing -------------------------------------
@@ -705,6 +728,72 @@ class TestKrylovBackSubstitution:
         assert spectra._krylov_minpoly_mod_p(THREE_CYCLE_AND_LOOP, [0] * 4) == [1]
 
 
+def _krylov_rank_mod_2(d):
+    """Rank mod 2 of e_1, A e_1, ..., A^(n-1) e_1 by Gauss-Jordan
+    elimination of all n vectors, as 0/1 lists from the adjacency
+    matrix, independent of the tier's bitmasks and its early stop."""
+    n = d.n
+    a = d.adjacency_matrix()
+    rows = [_unit(n)]
+    for _ in range(n - 1):
+        rows.append([sum(x * y for x, y in zip(row, rows[-1])) % 2 for row in a])
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(n):
+            if r != rank and rows[r][col]:
+                rows[r] = [x ^ y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _loop_parity_digraphs():
+    """Seeded digraphs with n = 1..9 whose loops carry even and odd
+    multiplicities, so that A mod 2 drops some of the loops."""
+    rng = random.Random(2222)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        yield _random_loop_digraph(rng, n, p=rng.choice([0.15, 0.3, 0.5, 0.8]))
+
+
+class TestCyclicMod2:
+    """The GF(2) first tier: Krylov rank n of e_1 mod 2, against a
+    test-local Gauss-Jordan rank of all n vectors."""
+
+    def test_matches_gauss_jordan_rank(self):
+        graphs = [graph for _, graph in _family_sweep(9)] + list(_loop_parity_digraphs())
+        ranks = []
+        for d in graphs:
+            rank = _krylov_rank_mod_2(d)
+            assert spectra._cyclic_mod_2(d) is (rank == d.n), d.arcs
+            ranks.append(d.n - rank)
+        # rank n - 1 is where accepting one vector too few would show
+        assert ranks.count(0) > 100 and ranks.count(1) > 20 and max(ranks) > 1
+
+    def test_derogatory_digraphs_are_not_cyclic(self):
+        derogatory = 0
+        for d in [graph for _, graph in _family_sweep(9)] + list(_loop_parity_digraphs()):
+            m, processed = spectra._minimal_polynomial_mod_p(d)
+            if spectra._certified(m, d, processed).degree < d.n:
+                assert not spectra._cyclic_mod_2(d), d.arcs
+                derogatory += 1
+        assert derogatory > 20
+
+    def test_even_loops_vanish_mod_2(self):
+        # A = 2I: derogatory; a 2-cycle with a double loop at one vertex
+        # is cyclic over Q but reads as a plain 2-cycle mod 2
+        assert not spectra._cyclic_mod_2(build_digraph(2, [(1, 1, 2), (2, 2, 2)]))
+        two_cycle = build_digraph(2, [(1, 2), (2, 1), (1, 1, 2)])
+        assert spectra._cyclic_mod_2(two_cycle)
+        assert minimal_polynomial(two_cycle) == charpoly_exact(two_cycle)
+        # a single vertex is always cyclic
+        assert spectra._cyclic_mod_2(build_digraph(1, [(1, 1, 2)]))
+        assert spectra._cyclic_mod_2(build_digraph(1, []))
+
+
 class TestCyclicVectorShortcut:
     """When e_1 is a cyclic vector the search stops after it and returns
     the characteristic polynomial; below degree n the lcm search and its
@@ -714,21 +803,29 @@ class TestCyclicVectorShortcut:
         def unused(*_):
             raise AssertionError("the search went past a cyclic e_1")
 
-        cyclic = [
-            (spec, graph, charpoly_exact(graph))
-            for spec, graph in _family_sweep(9)
-            if _krylov_rank(graph, _unit(graph.n)) == graph.n
-        ]
-        assert len(cyclic) > 100
-        for spec, graph, _ in cyclic:
+        sweep = [(spec, graph, charpoly_exact(graph)) for spec, graph in _family_sweep(9)]
+        cyclic_p = [case for case in sweep if _krylov_rank(case[1], _unit(case[1].n)) == case[1].n]
+        cyclic_2 = [case for case in sweep if _krylov_rank_mod_2(case[1]) == case[1].n]
+        assert len(cyclic_p) > len(cyclic_2) > 100
+        for spec, graph, _ in cyclic_p:
             modular, processed = spectra._minimal_polynomial_mod_p(graph)
             assert (modular.degree, processed) == (graph.n, range(1, 2)), spec.to_text()
+        # cyclic mod P only: a passed charpoly is compared mod P, with no
+        # check over Z and no rational rerun
         monkeypatch.setattr(spectra, "_annihilates", unused)
         monkeypatch.setattr(spectra, "_minimal_polynomial_rational", unused)
-        for spec, graph, psi in cyclic:
+        for spec, graph, psi in cyclic_p:
+            if _krylov_rank_mod_2(graph) < graph.n:
+                assert minimal_polynomial(graph, charpoly=psi) is psi, spec.to_text()
+        monkeypatch.undo()
+        # cyclic mod 2: neither mod-P search runs, and a passed charpoly
+        # is checked on e_1 alone
+        monkeypatch.setattr(spectra, "_minimal_polynomial_mod_p", unused)
+        monkeypatch.setattr(spectra, "_minimal_polynomial_rational", unused)
+        for spec, graph, psi in cyclic_2:
             assert minimal_polynomial(graph) == psi, spec.to_text()
         monkeypatch.setattr(spectra, "charpoly_exact", unused)
-        for spec, graph, psi in cyclic:
+        for spec, graph, psi in cyclic_2:
             assert minimal_polynomial(graph, charpoly=psi) is psi, spec.to_text()
 
     def test_krylov_rank_counts_every_power(self):
@@ -751,9 +848,13 @@ class TestCyclicVectorShortcut:
         assert not is_non_derogatory(d)
 
     @pytest.mark.parametrize(
-        "graph",
-        [build_family(FamilySpec("DCn_i_nmi", 8)), THREE_CYCLE_AND_LOOP],
-        ids=["cyclic e_1", "derogatory"],
+        "graph, cyclic_mod_2",
+        [
+            (build_family(FamilySpec("DCn_i_nmi", 8)), True),
+            (build_family(FamilySpec("ADW", 8)), False),
+            (THREE_CYCLE_AND_LOOP, False),
+        ],
+        ids=["cyclic e_1", "cyclic e_1 mod P only", "derogatory"],
     )
     @pytest.mark.parametrize(
         "wrong",
@@ -763,10 +864,24 @@ class TestCyclicVectorShortcut:
             lambda psi: psi.shift(1),
             lambda psi: 2 * psi,
             lambda psi: -psi,
+            lambda psi: psi + 2,
+            lambda psi: psi + IntPolynomial.monomial(psi.degree // 2, 2),
         ],
-        ids=["plus 1", "second coefficient", "degree n+1", "not monic", "negated"],
+        ids=[
+            "plus 1",
+            "second coefficient",
+            "degree n+1",
+            "not monic",
+            "negated",
+            "plus 2",
+            "plus 2x^k",
+        ],
     )
-    def test_wrong_charpoly_raises(self, graph, wrong):
+    def test_wrong_charpoly_raises(self, graph, cyclic_mod_2, wrong):
+        """ψ + 2 and ψ + 2x^k agree with ψ mod 2, so on the cyclic-mod-2
+        graph only the check over Z tells them apart; on ADW n=8, whose
+        e_1 is cyclic mod P but not mod 2, only the congruence mod P."""
+        assert spectra._cyclic_mod_2(graph) is cyclic_mod_2
         bad = wrong(charpoly_exact(graph))
         with pytest.raises(ValueError, match="not the characteristic polynomial"):
             minimal_polynomial(graph, bad)
