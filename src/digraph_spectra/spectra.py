@@ -27,14 +27,16 @@ The minimal polynomial comes from Krylov sequences in two tiers.  The
 first works mod 2 on bitmasks: when e_1, A e_1, ..., A^(n-1) e_1 are
 independent mod 2, e_1 is a cyclic vector over Q and the minimal
 polynomial is the characteristic polynomial.  Otherwise it is the lcm of
-the unit vectors' Krylov minimal polynomials modulo the prime
-P = 2^61 - 1, e_1 first, each read off one elimination by
-back-substitution; each Krylov step is one ``Digraph.times``.  Degree n
-mod P is degree n over Q, so the result is then the characteristic
-polynomial; below degree n the lifted result is certified over Z, with
-an exact rational rerun as the fallback.  A digraph is non-derogatory
-when the minimal polynomial has full degree n, which the Krylov ranks
-alone show.
+the Krylov minimal polynomials of seeded small-integer start vectors
+modulo the prime P = 2^61 - 1, each read off one elimination by
+back-substitution, while one echelon basis mod P tracks the joint rank
+of their Krylov spaces; each Krylov step is one ``Digraph.times``.  The
+search stops at degree n or joint rank n.  Degree n mod P is degree n
+over Q, so the result is then the characteristic polynomial; below
+degree n the lifted result is certified over Z on the processed vectors,
+with a fraction-free integer elimination as the fallback.  A digraph is
+non-derogatory when the minimal polynomial has full degree n, which the
+Krylov ranks alone show.
 
 :func:`triangular_certificate` searches for a sufficient witness: an
 ordered arc matching on n-1 rows and columns of xI - A whose staircase
@@ -46,8 +48,8 @@ from __future__ import annotations
 
 import math
 import os
+import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .digraph import Digraph
 from .polynomial import MINPOLY_PRIME, ExactnessCheckFailed, IntPolynomial
@@ -289,64 +291,53 @@ def charpoly_ldsg(d: Digraph) -> IntPolynomial:
 # -- minimal polynomial -----------------------------------------------
 
 
-def minimal_polynomial(d: Digraph, charpoly: IntPolynomial | None = None) -> IntPolynomial:
+def minimal_polynomial(d: Digraph) -> IntPolynomial:
     """Monic generator of the polynomials f with f(A) = 0.
 
     First tier, mod 2: when :func:`_cyclic_mod_2` finds e_1, A e_1, ...,
     A^(n-1) e_1 independent mod 2, the integer Krylov matrix has an odd,
     hence nonzero, determinant, so e_1 is a cyclic vector over Q and the
-    minimal polynomial is the characteristic polynomial.  That is
-    ``charpoly_exact(d)``, or the given ``charpoly`` once it is monic of
-    degree n with charpoly(A) e_1 = 0 over Z.  That check proves
-    charpoly(A) = 0, since charpoly(A) A^k e_1 = A^k charpoly(A) e_1 and
-    the A^k e_1 span; and a monic f of degree n with f(A) e_1 = 0 is the
-    Krylov minimal polynomial of the cyclic e_1, the characteristic
+    minimal polynomial is the characteristic polynomial.
+
+    Second tier, mod P = ``MINPOLY_PRIME``: Krylov sequences of start
+    vectors u (Wiedemann 1986), seeded ones with entries in -3..3 first.
+    For each u it forms v = m(A) u, finds the minimal polynomial g of
+    v's sequence v, Av, A^2 v, ... and replaces m by m g =
+    lcm(m, minpoly(u)); it also joins u, Au, ... to one echelon basis of
+    the processed vectors' Krylov spaces.  It stops when deg m = n or
+    that joint rank is n; m is then A's minimal polynomial mod P, lifted
+    to (-P/2, P/2].  The true minimal polynomial is a monic integer
+    polynomial that m divides mod P.
+
+    So either tier reaching degree n means the characteristic
+    polynomial, and the result is ``charpoly_exact(d)``, whose divisions
+    and Cayley-Hamilton check are exact: a caller that needs both
+    polynomials reads a degree-n result as the characteristic
     polynomial.
 
-    Second tier, mod P = ``MINPOLY_PRIME``: Krylov sequences of unit
-    vectors (Wiedemann 1986), e_1 first.  For j = 1, 2, ... it forms
-    v = m(A) e_j, finds the minimal polynomial g of v's sequence v, Av,
-    A^2 v, ... and replaces m by m g = lcm(m, minpoly(e_j)), until
-    deg m = n or every e_j is processed; m is then A's minimal
-    polynomial mod P, lifted to (-P/2, P/2].  The true minimal
-    polynomial is a monic integer polynomial that m divides mod P.
-
-    So deg m = n means the characteristic polynomial again:
-    ``charpoly`` when given (the caller's ``charpoly_exact(d)``, whose
-    Cayley-Hamilton check is exact), else ``charpoly_exact(d)``.  A
-    given ``charpoly`` must then be monic of degree n and congruent to
-    m, the characteristic polynomial of A mod P, coefficient by
-    coefficient.
-
-    Below degree n every e_j was processed, and m(A) e_j = 0 checked
-    exactly for all of them proves m(A) = 0; an integer annihilator is a
+    Below degree n the processed vectors' Krylov spaces span Q^n, since
+    their rank mod P is n, so m(A) u = 0 checked exactly on each u proves
+    m(A) = 0 (m(A) A^k u = A^k m(A) u); an integer annihilator is a
     multiple of the true minimal polynomial, so m is it.  If the check
     fails (the degree dropped mod P, or a true coefficient lies outside
-    the lift range), the search reruns with exact rationals.  A given
-    ``charpoly`` must then be monic of degree n with charpoly(A) = 0,
-    checked the same way.  A wrong ``charpoly`` raises ValueError.
+    the lift range), the fraction-free elimination over Z reruns the
+    search.
     """
-    n = d.n
-    m, processed = _krylov_tiers(d)
-    if charpoly is not None:
-        if not (charpoly.is_monic and charpoly.degree == n) or (
-            any((a - b) % MINPOLY_PRIME for a, b in zip(charpoly.coeffs, m.coeffs))
-            if m is not None and m.degree == n
-            else not _annihilates(charpoly, d, processed)
-        ):
-            raise ValueError(f"{charpoly} is not the characteristic polynomial of the digraph")
-    if m is None or m.degree == n:
-        return charpoly if charpoly is not None else charpoly_exact(d)
-    return _certified(m, d, processed)
+    found = _krylov_tiers(d)
+    if found is None:
+        return charpoly_exact(d)
+    m, vectors = found
+    return _certified(m, d, vectors)
 
 
-def _krylov_tiers(d: Digraph) -> tuple[IntPolynomial | None, range]:
-    """The minimal polynomial's two tiers: (None, range(1, 2)) when e_1
-    is cyclic mod 2, so the answer is the characteristic polynomial,
-    else the mod-P search's (m, processed)."""
+def _krylov_tiers(d: Digraph) -> tuple[IntPolynomial, list[list[int]]] | None:
+    """None when a tier reaches degree n, so the minimal polynomial is
+    the characteristic polynomial; else the mod-P search's m, of lower
+    degree, and the start vectors it processed."""
     if _cyclic_mod_2(d):
-        return None, range(1, 2)
-    return _minimal_polynomial_mod_p(d)
+        return None
+    m, vectors = _minimal_polynomial_mod_p(d)
+    return None if m.degree == d.n else (m, vectors)
 
 
 def _cyclic_mod_2(d: Digraph) -> bool:
@@ -385,50 +376,95 @@ def _cyclic_mod_2(d: Digraph) -> bool:
     return True
 
 
-def _minimal_polynomial_mod_p(d: Digraph) -> tuple[IntPolynomial, range]:
-    """lcm of the unit vectors' minimal polynomials mod P, lifted to Z,
-    and the vertices j whose e_j the search processed."""
+KRYLOV_SEED = 1986  # seeds the start vectors of the mod-P search
+
+
+def _start_vectors(n: int):
+    """The mod-P search's start vectors: n seeded ones with entries in
+    -3..3, then the unit vectors, which span and so end any search."""
+    rng = random.Random(KRYLOV_SEED)
+    for _ in range(n):
+        yield rng.choices(range(-3, 4), k=n)
+    yield from _unit_vectors(n)
+
+
+def _unit_vectors(n: int) -> list[list[int]]:
+    return [[int(i == j) for i in range(n)] for j in range(n)]
+
+
+def _minimal_polynomial_mod_p(d: Digraph) -> tuple[IntPolynomial, list[list[int]]]:
+    """A's minimal polynomial mod P, lifted to Z, and the start vectors
+    the search processed; a start vector whose Krylov space adds nothing
+    to the span is passed over.  Below degree n their Krylov spaces
+    have joint rank n mod P."""
     p = MINPOLY_PRIME
     n = d.n
     m = [1]  # coefficients mod P, constant term first
-    j = 0
-    while j < n and len(m) <= n:
-        v = [0] * n
-        v[j] = 1  # Horner from m's leading coefficient 1: v <- A v + c e_j
-        for c in reversed(m[:-1]):
-            v = [x % p for x in d.times(v)]
-            v[j] = (v[j] + c) % p
-        j += 1
-        if any(v):
-            g = _krylov_minpoly_mod_p(d, v)
-            m = g if m == [1] else [c % p for c in (IntPolynomial(m) * IntPolynomial(g)).coeffs]
+    span: list[tuple[int, list[int]]] = []  # echelon basis of the processed Krylov spaces
+    vectors = []
+    for u in _start_vectors(n):
+        rank = len(span)
+        if not rank:  # m = 1, so v = u and its Krylov basis is the span
+            m, span = _krylov_minpoly_mod_p(d, u)
+        else:
+            # join u, Au, ... up to the first power already in the span,
+            # which then stays A-invariant
+            w = u
+            while len(span) < n and _reduce_mod_p(span, w, []):
+                w = [x % p for x in d.times(w)]
+            if len(span) > rank:
+                v = u  # Horner from m's leading coefficient 1: v <- A v + c u
+                for c in reversed(m[:-1]):
+                    v = [(x + c * y) % p for x, y in zip(d.times(v), u)]
+                if any(v):
+                    g, _ = _krylov_minpoly_mod_p(d, v)
+                    m = [c % p for c in (IntPolynomial(m) * IntPolynomial(g)).coeffs]
+        if len(span) > rank:
+            vectors.append(u)
+        if len(m) > n or len(span) == n:
+            break
     half = p // 2
-    return IntPolynomial([c - p if c > half else c for c in m]), range(1, j + 1)
+    return IntPolynomial([c - p if c > half else c for c in m]), vectors
 
 
-def _krylov_minpoly_mod_p(d: Digraph, v: list[int]) -> list[int]:
-    """Monic first dependence among v, Av, A^2 v, ... mod P, constant
-    term first.  Reducing A^k v against the echelon basis b_0, b_1, ...
-    records the multipliers L[k][i] and the residue's pivot L[k][k]:
-    A^k v = sum_i L[k][i] b_i, L lower triangular.  The first dependent
-    A^r v = sum_i f_i b_i = sum_k c_k A^k v then gives c from
-    sum_k c_k L[k][i] = f_i by back-substitution."""
+def _reduce_mod_p(basis: list[tuple[int, list[int]]], vec: list[int], mults: list[int]) -> int:
+    """Reduce vec mod P against the echelon basis of (pivot, row with 1
+    at the pivot), appending each multiplier subtracted to ``mults``.  A
+    nonzero residual is scaled to 1 at its first nonzero entry and
+    appended to the basis, and the inverse of its pivot entry returned;
+    0 means vec lay in the span."""
     p = MINPOLY_PRIME
-    basis: list[tuple[int, list[int]]] = []  # (pivot, vec with 1 at pivot)
+    for pivot, bvec in basis:
+        mult = vec[pivot]
+        mults.append(mult)
+        if mult:
+            vec = [(x - mult * y) % p for x, y in zip(vec, bvec)]
+    pivot = next((idx for idx, x in enumerate(vec) if x), None)
+    if pivot is None:
+        return 0
+    inv = pow(vec[pivot], -1, p)
+    basis.append((pivot, [x * inv % p for x in vec]))
+    return inv
+
+
+def _krylov_minpoly_mod_p(
+    d: Digraph, v: list[int]
+) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """Monic first dependence among v, Av, A^2 v, ... mod P, constant
+    term first, and the echelon basis of their span.  Reducing A^k v
+    against the echelon basis b_0, b_1, ... records the multipliers
+    L[k][i] and the residue's pivot L[k][k]: A^k v = sum_i L[k][i] b_i,
+    L lower triangular.  The first dependent A^r v = sum_i f_i b_i =
+    sum_k c_k A^k v then gives c from sum_k c_k L[k][i] = f_i by
+    back-substitution."""
+    p = MINPOLY_PRIME
+    basis: list[tuple[int, list[int]]] = []
     lower: list[list[int]] = []  # row k: L[k][0..k-1], then 1 / L[k][k]
     while True:
-        vec = v
-        f = []
-        for pivot, bvec in basis:
-            mult = vec[pivot]
-            f.append(mult)
-            if mult:
-                vec = [(x - mult * y) % p for x, y in zip(vec, bvec)]
-        pivot = next((idx for idx, x in enumerate(vec) if x), None)
-        if pivot is None:
+        f: list[int] = []
+        inv = _reduce_mod_p(basis, v, f)
+        if not inv:
             break
-        inv = pow(vec[pivot], -1, p)
-        basis.append((pivot, [x * inv % p for x in vec]))
         lower.append(f + [inv])
         v = [x % p for x in d.times(v)]
     r = len(lower)
@@ -436,76 +472,78 @@ def _krylov_minpoly_mod_p(d: Digraph, v: list[int]) -> list[int]:
     for i in range(r - 1, -1, -1):
         rest = sum([c[k] * lower[k][i] for k in range(i + 1, r)])
         c[i] = (f[i] - rest) * lower[i][i] % p
-    return [-x % p for x in c] + [1]
+    return [-x % p for x in c] + [1], basis
 
 
-def _annihilates(f: IntPolynomial, d: Digraph, vertices) -> bool:
-    """f(A) e_j == 0 over Z for every j in ``vertices``, by Horner steps
-    r <- A r + c e_j."""
-    for j in vertices:
+def _annihilates(f: IntPolynomial, d: Digraph, vectors: list[list[int]]) -> bool:
+    """f(A) u == 0 over Z for every u in ``vectors``, by Horner steps
+    r <- A r + c u."""
+    for u in vectors:
         r = [0] * d.n
         for c in reversed(f.coeffs):
-            r = d.times(r)
-            r[j - 1] += c
+            r = [x + c * y for x, y in zip(d.times(r), u)]
         if any(r):
             return False
     return True
 
 
-def _certified(m: IntPolynomial, d: Digraph, processed: range) -> IntPolynomial:
-    """m when m(A) e_j = 0 over Z for every processed j, else the exact
-    rational rerun."""
-    if _annihilates(m, d, processed):
+def _certified(m: IntPolynomial, d: Digraph, vectors: list[list[int]]) -> IntPolynomial:
+    """m when m(A) u = 0 over Z for every processed u, else the
+    fraction-free rerun."""
+    if _annihilates(m, d, vectors):
         return m
     m = _minimal_polynomial_rational(d)
-    if not _annihilates(m, d, range(1, d.n + 1)):
+    if not _annihilates(m, d, _unit_vectors(d.n)):
         raise ExactnessCheckFailed("rational minimal polynomial does not annihilate A")
     return m
 
 
 def _minimal_polynomial_rational(d: Digraph) -> IntPolynomial:
-    """First dependence among the flattened powers I, A, A^2, ... with
-    exact rationals; the coefficients are integral for integer matrices
+    """First dependence over Q among the flattened powers I, A, A^2, ...,
+    by fraction-free elimination over Z.  A new row v and its
+    combination of powers are reduced by v <- a v - b w against each
+    basis row w, a being w's pivot entry and b v's entry there, and both
+    are then divided by their content.  At the dependence the
+    combination, divided by its leading coefficient, is the minimal
+    polynomial; those divisions are exact for integer matrices
     (checked).  The fallback of the modular search, and its reference
     in the tests.  A^k is kept as its columns, each pushed by A v."""
     n = d.n
-    dim = n * n
-    basis: list[tuple[int, list[Fraction], list[Fraction]]] = []  # (pivot, vec, combo)
-    columns = [[int(i == j) for i in range(n)] for j in range(n)]
-    power = 0
-    while True:
-        vec = [Fraction(x) for col in columns for x in col]
-        combo = [Fraction(0)] * (power + 1)
-        combo[power] = Fraction(1)
+    basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, row, combination)
+    columns = _unit_vectors(n)
+    for power in range(n + 1):
+        vec = [x for col in columns for x in col]
+        combo = [int(k == power) for k in range(n + 1)]
         for pivot, bvec, bcombo in basis:
-            factor = vec[pivot]
-            if factor:
-                for idx in range(dim):
-                    vec[idx] -= factor * bvec[idx]
-                for idx, c in enumerate(bcombo):
-                    combo[idx] -= factor * c
-        pivot = next((idx for idx in range(dim) if vec[idx]), None)
+            b = vec[pivot]
+            if b:
+                a = bvec[pivot]
+                vec = [a * x - b * y for x, y in zip(vec, bvec)]
+                combo = [a * x - b * y for x, y in zip(combo, bcombo)]
+                g = math.gcd(*vec, *combo)
+                vec = [x // g for x in vec]
+                combo = [x // g for x in combo]
+        pivot = next((idx for idx, x in enumerate(vec) if x), None)
         if pivot is None:
-            # combo expresses the zero matrix; leading term is x^power.
-            if combo[power] != 1 or any(c.denominator != 1 for c in combo):
+            # combo expresses the zero matrix; its leading term is x^power.
+            lead = combo[power]
+            if any(c % lead for c in combo):
                 raise ExactnessCheckFailed("rational minimal polynomial is not monic and integral")
-            return IntPolynomial(int(c) for c in combo)
-        inv = vec[pivot]
-        vec = [c / inv for c in vec]
-        bcombo = [c / inv for c in combo]
-        basis.append((pivot, vec, bcombo))
+            return IntPolynomial([c // lead for c in combo])
+        basis.append((pivot, vec, combo))
         columns = [d.times(col) for col in columns]
-        power += 1
-        if power > n:
-            raise ExactnessCheckFailed("no dependence found within n+1 powers")
+    raise ExactnessCheckFailed("no dependence found within n+1 powers")
 
 
 def minimal_polynomial_degree(d: Digraph) -> int:
     """Degree of the minimal polynomial: the tiers of
     :func:`minimal_polynomial` run once, certified only below degree n,
     never forming the characteristic polynomial."""
-    m, processed = _krylov_tiers(d)
-    return d.n if m is None or m.degree == d.n else _certified(m, d, processed).degree
+    found = _krylov_tiers(d)
+    if found is None:
+        return d.n
+    m, vectors = found
+    return _certified(m, d, vectors).degree
 
 
 def is_non_derogatory(d: Digraph) -> bool:

@@ -217,7 +217,9 @@ def build_row(table: str, spec: FamilySpec) -> ReportRow:
         row.skipped = str(err)
         return row
     deep = table != "exponents"
-    psi = charpoly_exact(graph)
+    mp = minimal_polynomial(graph) if deep else None
+    # a degree-n minimal polynomial is the characteristic polynomial
+    psi = mp if mp is not None and mp.degree == graph.n else charpoly_exact(graph)
     row.computed_charpoly = str(psi)
     if graph.n <= resolve_enumeration_cap():
         row.ldsg_checked = True
@@ -227,7 +229,6 @@ def build_row(table: str, spec: FamilySpec) -> ReportRow:
         row.closed_form = str(closed)
         row.charpoly_match = closed == psi
     if deep:
-        mp = minimal_polynomial(graph, charpoly=psi)
         row.min_poly = str(mp)
         row.min_poly_degree = mp.degree
         row.non_derogatory = mp.degree == graph.n

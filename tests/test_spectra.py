@@ -27,10 +27,16 @@ Core claims:
       covers reproduces every coefficient
     - minimal polynomials are exact, integral, divide the
       characteristic polynomial, and match the worked instances; the
-      modular search agrees with the rational elimination and with a
-      sympy factor-and-rank oracle, joins unit vectors by lcm when e_1
-      is not cyclic, and inputs whose reduction mod P misleads it are
-      caught by the Z certificate
+      modular search agrees with the fraction-free elimination and with
+      a sympy factor-and-rank oracle, and that elimination with a
+      test-local one in exact rationals; inputs whose reduction mod P
+      misleads the search are caught by the Z certificate
+    - the search joins its start vectors by lcm and stops exactly where
+      a test-local Gauss-Jordan rank mod P of their Krylov spaces
+      reaches n, one vector fewer staying below n; it ends on A = 0,
+      A = I and n = 1, falls through to the unit vectors when the seeded
+      ones add nothing, and takes at most two vectors on the derogatory
+      default rows
     - the Krylov minimal polynomial read off the recorded multipliers by
       back-substitution is monic, annihilates its vector mod P and has
       the degree of a test-local Krylov rank mod P (n = 1, sinks, loop
@@ -40,12 +46,15 @@ Core claims:
       sweep and on seeded loop digraphs with even and odd loop
       multiplicities (rank n - 1 cases included), and says no on every
       derogatory digraph
-    - a cyclic e_1 mod 2 skips both mod-P searches and returns the
-      characteristic polynomial, checking a passed one exactly on e_1
-      alone; a cyclic e_1 mod P ends the mod-P search after one vector;
-      a wrong charpoly raises, also one that agrees with the true one
-      mod 2; the derogatory 3-cycle plus looped vertex (e_1 of rank
-      n - 1) still gets x^3 - 1 from the certified search
+    - a cyclic e_1 mod 2 skips the mod-P search and returns the
+      characteristic polynomial; a cyclic first start vector mod P ends
+      the search after one vector, with no check over Z; the derogatory
+      3-cycle plus looped vertex (e_1 of rank n - 1) still gets x^3 - 1
+      from the certified search, after two vectors
+    - a perturbed characteristic polynomial (plus 1, 2 or 2x^k, or the
+      x^(n-1) term changed) fails the Z certificate on the processed
+      vectors, and the fallback's m(A) = 0 check raises on it, also
+      where it agrees with the true one mod 2
     - squarefree characteristic polynomial implies non-derogatory, and
       the non-derogatory verdict never calls the squarefree test; on a
       cyclic e_1 it never forms the characteristic polynomial, and on a
@@ -61,6 +70,7 @@ import itertools
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -560,25 +570,42 @@ class TestMinimalPolynomial:
 
 
 class TestModularMinimalPolynomial:
-    """The search mod P against the rational elimination it replaced,
-    and the certificate over Z that guards it."""
+    """The search mod P against the fraction-free elimination, that
+    elimination against a test-local one with exact rationals, and the
+    certificate over Z that guards the search."""
 
     def test_matches_rational_on_random_digraphs(self):
         rng = random.Random(6161)
         for _ in range(70):
             d = _random_loop_digraph(rng, rng.randint(1, 7))
-            expected = spectra._minimal_polynomial_rational(d)
-            assert minimal_polynomial(d) == expected
-            assert minimal_polynomial(d, charpoly_exact(d)) == expected
+            assert minimal_polynomial(d) == spectra._minimal_polynomial_rational(d)
 
     def test_matches_rational_on_family_sweep(self):
         for spec, graph in _family_sweep(9):
             expected = spectra._minimal_polynomial_rational(graph)
             assert minimal_polynomial(graph) == expected, spec.to_text()
-            assert minimal_polynomial(graph, charpoly_exact(graph)) == expected, spec.to_text()
             # the modular search alone gets it right: no fallback needed
             modular, _ = spectra._minimal_polynomial_mod_p(graph)
             assert modular == expected, spec.to_text()
+
+    def test_fraction_free_elimination_matches_fractions(self):
+        rng = random.Random(3131)
+        graphs = [
+            build_family(FamilySpec(family, n))
+            for family, n in [("UDWc", 7), ("UDWc", 9), ("DCn_i_nmi", 8), ("ADW", 8)]
+        ]
+        graphs += [THREE_CYCLE_AND_LOOP, build_digraph(3, []), build_digraph(3, [(1, 1), (2, 2), (3, 3)])]
+        graphs += [build_digraph(2, [(1, 1, 1), (2, 2, 1 + P)]), build_digraph(1, [(1, 1, 2**62 + 1)])]
+        graphs += [
+            _random_loop_digraph(rng, rng.randint(1, 6), p=rng.choice([0.15, 0.4, 0.7]))
+            for _ in range(40)
+        ]
+        degrees = set()
+        for d in graphs:
+            expected = _fraction_minimal_polynomial(d)
+            assert spectra._minimal_polynomial_rational(d) == expected, d.arcs
+            degrees.add(d.n - expected.degree)
+        assert 0 in degrees and max(degrees) >= 2
 
     @pytest.mark.parametrize(
         "n, arcs, expected",
@@ -597,16 +624,17 @@ class TestModularMinimalPolynomial:
     )
     def test_certificate_failure_falls_back(self, n, arcs, expected):
         d = build_digraph(n, arcs)
-        modular, processed = spectra._minimal_polynomial_mod_p(d)
+        modular, vectors = spectra._minimal_polynomial_mod_p(d)
+        assert _krylov_rank(d, *vectors) == n
         assert modular != expected
-        assert not spectra._annihilates(modular, d, processed)
+        assert not spectra._annihilates(modular, d, vectors)
         assert minimal_polynomial(d) == expected
 
     @pytest.mark.parametrize(
-        "n, arcs, expected, processed",
+        "n, arcs, expected, rank",
         [
             # a 3-cycle and a 2-cycle: e_1 only reaches the 3-cycle, so the
-            # search needs e_4 too and never reaches degree n
+            # search needs e_4 too and ends at joint rank n below degree n
             (
                 5,
                 [(1, 2), (2, 3), (3, 1), (4, 5), (5, 4)],
@@ -622,27 +650,67 @@ class TestModularMinimalPolynomial:
             ),
         ],
     )
-    def test_lcm_joins_unit_vectors(self, n, arcs, expected, processed):
+    def test_lcm_joins_unit_vectors(self, monkeypatch, n, arcs, expected, rank):
+        """The seeded vectors first; then with each seeded vector zero, so
+        that the search passes over all of them, the unit vectors behind
+        them, of which e_2 and e_3 lie in e_1's Krylov space."""
         d = build_digraph(n, arcs)
-        modular, vertices = spectra._minimal_polynomial_mod_p(d)
+        modular, vectors = spectra._minimal_polynomial_mod_p(d)
         assert modular == expected
-        assert list(vertices) == list(range(1, processed + 1))
+        assert _krylov_rank(d, *vectors) == rank
+        start = spectra._start_vectors
+        monkeypatch.setattr(
+            spectra,
+            "_start_vectors",
+            lambda size: [[0] * size if k < size else u for k, u in enumerate(start(size))],
+        )
+        modular, vectors = spectra._minimal_polynomial_mod_p(d)
+        assert modular == expected
+        assert vectors == [_unit(n), _unit(n, 4)]
+        assert _krylov_rank(d, *vectors) == rank
         assert minimal_polynomial(d) == expected
 
     def test_wrong_modular_answer_is_not_returned(self, monkeypatch):
         d = build_family(FamilySpec("DCn_i_nmi", 8))
         bogus = IntPolynomial.monomial(8) + 1
         monkeypatch.setattr(
-            spectra, "_minimal_polynomial_mod_p", lambda _: (bogus, range(1, 2))
+            spectra, "_minimal_polynomial_mod_p", lambda _: (bogus, [_unit(8)])
         )
         assert str(minimal_polynomial(d)) == WORKED
         # e_1 is cyclic above, so the search never runs; below it does,
         # and the Z certificate still catches the wrong answer
         wrong = IntPolynomial.monomial(3) - 2
         monkeypatch.setattr(
-            spectra, "_minimal_polynomial_mod_p", lambda _: (wrong, range(1, 2))
+            spectra, "_minimal_polynomial_mod_p", lambda _: (wrong, [_unit(4)])
         )
         assert minimal_polynomial(THREE_CYCLE_AND_LOOP) == IntPolynomial((-1, 0, 0, 1))
+
+
+def _fraction_minimal_polynomial(d):
+    """First dependence among the flattened powers I, A, A^2, ... by
+    Gauss-Jordan elimination with exact rationals, each basis row scaled
+    to 1 at its pivot; independent of the fraction-free elimination."""
+    n = d.n
+    a = d.adjacency_matrix()
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    basis = []  # (pivot, row, combination)
+    for k in range(n + 1):
+        vec = [Fraction(x) for row in power for x in row]
+        combo = [Fraction(0)] * k + [Fraction(1)]
+        for pivot, bvec, bcombo in basis:
+            factor = vec[pivot]
+            if factor:
+                vec = [x - factor * y for x, y in zip(vec, bvec)]
+                for idx, c in enumerate(bcombo):
+                    combo[idx] -= factor * c
+        pivot = next((idx for idx, x in enumerate(vec) if x), None)
+        if pivot is None:
+            assert combo[k] == 1 and all(c.denominator == 1 for c in combo)
+            return IntPolynomial([int(c) for c in combo])
+        inv = vec[pivot]
+        basis.append((pivot, [x / inv for x in vec], [c / inv for c in combo]))
+        power = mat_mul(a, power)
+    raise AssertionError("no dependence within n + 1 powers")
 
 
 # a 3-cycle and a looped vertex 4: eigenvalue 1 twice, e_1 of Krylov rank 3
@@ -653,21 +721,23 @@ def _unit(n, j=1):
     return [int(i == j - 1) for i in range(n)]
 
 
-def _krylov_rank(d, v):
-    """Rank mod P of v, Av, ..., A^(n-1) v by Gauss-Jordan elimination
-    of all n vectors, independent of the search's early stop."""
+def _krylov_rank(d, *vectors):
+    """Joint rank mod P of v, Av, ..., A^(n-1) v over the given vectors
+    by Gauss-Jordan elimination of all those n-vector sequences,
+    independent of the search's echelon basis and early stops."""
     rows = []
-    for _ in range(d.n):
-        rows.append([x % P for x in v])
-        v = d.times(rows[-1])
+    for v in vectors:
+        for _ in range(d.n):
+            rows.append([x % P for x in v])
+            v = d.times(rows[-1])
     rank = 0
     for col in range(d.n):
-        pivot = next((r for r in range(rank, d.n) if rows[r][col]), None)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = pow(rows[rank][col], -1, P)
-        for r in range(d.n):
+        for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 f = rows[r][col] * inv % P
                 rows[r] = [(x - f * y) % P for x, y in zip(rows[r], rows[rank])]
@@ -706,26 +776,86 @@ class TestKrylovBackSubstitution:
             elif kind == 1:
                 v = _unit(n, rng.randint(1, n))
             elif kind == 2:
-                v = [rng.randint(-3, 3) % P for _ in range(n)]
+                v = [rng.randint(-3, 3) for _ in range(n)]
             else:
                 v = [0] * n
             cases.append((d, v))
         degrees = set()
         for d, v in cases:
-            g = spectra._krylov_minpoly_mod_p(d, v)
+            g, basis = spectra._krylov_minpoly_mod_p(d, v)
             assert g[-1] == 1 and all(0 <= c < P for c in g), (d.arcs, v)
             assert not any(_at_vector_mod_p(g, d, v)), (d.arcs, v)
-            assert len(g) - 1 == _krylov_rank(d, v), (d.arcs, v)
+            assert len(g) - 1 == len(basis) == _krylov_rank(d, v), (d.arcs, v)
             degrees.add(len(g) - 1)
         assert degrees == set(range(8))
 
     def test_worked_small_cases(self):
-        assert spectra._krylov_minpoly_mod_p(build_digraph(1, []), [1]) == [0, 1]
-        assert spectra._krylov_minpoly_mod_p(build_digraph(1, [(1, 1, 3)]), [5]) == [P - 3, 1]
+        def g(d, v):
+            return spectra._krylov_minpoly_mod_p(d, v)[0]
+
+        assert g(build_digraph(1, []), [1]) == [0, 1]
+        assert g(build_digraph(1, [(1, 1, 3)]), [5]) == [P - 3, 1]
         path = build_digraph(3, [(1, 2), (2, 3)])
-        assert spectra._krylov_minpoly_mod_p(path, _unit(3, 3)) == [0, 0, 0, 1]
-        assert spectra._krylov_minpoly_mod_p(path, _unit(3)) == [0, 1]
-        assert spectra._krylov_minpoly_mod_p(THREE_CYCLE_AND_LOOP, [0] * 4) == [1]
+        assert g(path, _unit(3, 3)) == [0, 0, 0, 1]
+        assert g(path, _unit(3)) == [0, 1]
+        assert g(THREE_CYCLE_AND_LOOP, [0] * 4) == [1]
+
+
+def _search_sample():
+    """The family sweep, seeded loop digraphs (derogatory ones among
+    them) and the degenerate A = 0 and A = I."""
+    rng = random.Random(5151)
+    graphs = [graph for _, graph in _family_sweep(9)]
+    graphs += [_random_loop_digraph(rng, rng.randint(1, 7), p=rng.choice([0.1, 0.3])) for _ in range(80)]
+    graphs += [build_digraph(n, []) for n in range(1, 7)]
+    graphs += [build_digraph(n, [(i, i) for i in range(1, n + 1)]) for n in range(1, 7)]
+    return graphs
+
+
+class TestJointKrylovRank:
+    """The mod-P search processes seeded start vectors and stops exactly
+    where their Krylov spaces reach joint rank n, by a test-local
+    Gauss-Jordan rank, or where m reaches degree n."""
+
+    def test_search_stops_exactly_at_joint_rank_n(self):
+        counts = []
+        for d in _search_sample():
+            modular, vectors = spectra._minimal_polynomial_mod_p(d)
+            # every stop, degree n included, has joint rank n; one vector
+            # fewer does not, so no vector past that point is processed
+            assert _krylov_rank(d, *vectors) == d.n, d.arcs
+            assert _krylov_rank(d, *vectors[:-1]) < d.n, d.arcs
+            assert modular == spectra._minimal_polynomial_rational(d), d.arcs
+            counts.append((modular.degree == d.n, len(vectors)))
+        # derogatory stops need more than one vector; most others need one
+        assert any(not full and k > 1 for full, k in counts)
+        assert counts.count((True, 1)) > 200
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_search_terminates_on_zero_and_identity(self, n):
+        x = IntPolynomial.x()
+        for arcs, expected in [([], x), ([(i, i) for i in range(1, n + 1)], x - 1)]:
+            d = build_digraph(n, arcs)
+            modular, vectors = spectra._minimal_polynomial_mod_p(d)
+            assert modular == expected
+            # each start vector spans only itself, so n are processed
+            assert len(vectors) == n and _krylov_rank(d, *vectors) == n
+            assert minimal_polynomial(d) == expected
+
+    def test_search_terminates_at_one_vertex(self):
+        for w in (0, 1, 2, 3, 7, P, 2**62 + 1):
+            d = build_digraph(1, [(1, 1, w)] if w else [])
+            modular, vectors = spectra._minimal_polynomial_mod_p(d)
+            assert len(vectors) == 1 and vectors[0] != [0]
+            assert minimal_polynomial(d) == IntPolynomial((-w, 1))
+
+    def test_derogatory_default_rows_stop_within_two_vectors(self):
+        for n in (5, 7, 9, 11, 13):
+            d = build_family(FamilySpec("UDWc", n))
+            modular, vectors = spectra._minimal_polynomial_mod_p(d)
+            assert modular.degree == n - 1 and len(vectors) <= 2, n
+            assert _krylov_rank(d, *vectors) == n
+            assert spectra._certified(modular, d, vectors) == modular
 
 
 def _krylov_rank_mod_2(d):
@@ -795,48 +925,50 @@ class TestCyclicMod2:
 
 
 class TestCyclicVectorShortcut:
-    """When e_1 is a cyclic vector the search stops after it and returns
-    the characteristic polynomial; below degree n the lcm search and its
-    Z certificate run on."""
+    """When e_1 is cyclic mod 2, or the first start vector is cyclic
+    mod P, the minimal polynomial is the characteristic polynomial with
+    no further search and no check over Z; below degree n the search and
+    its Z certificate run on."""
 
     def test_rank_n_rows_skip_the_lcm_search(self, monkeypatch):
         def unused(*_):
-            raise AssertionError("the search went past a cyclic e_1")
+            raise AssertionError("the search went past a cyclic start vector")
+
+        def first(graph):
+            return next(iter(spectra._start_vectors(graph.n)))
 
         sweep = [(spec, graph, charpoly_exact(graph)) for spec, graph in _family_sweep(9)]
-        cyclic_p = [case for case in sweep if _krylov_rank(case[1], _unit(case[1].n)) == case[1].n]
+        cyclic_p = [case for case in sweep if _krylov_rank(case[1], first(case[1])) == case[1].n]
         cyclic_2 = [case for case in sweep if _krylov_rank_mod_2(case[1]) == case[1].n]
         assert len(cyclic_p) > len(cyclic_2) > 100
         for spec, graph, _ in cyclic_p:
-            modular, processed = spectra._minimal_polynomial_mod_p(graph)
-            assert (modular.degree, processed) == (graph.n, range(1, 2)), spec.to_text()
-        # cyclic mod P only: a passed charpoly is compared mod P, with no
-        # check over Z and no rational rerun
+            modular, vectors = spectra._minimal_polynomial_mod_p(graph)
+            assert (modular.degree, vectors) == (graph.n, [first(graph)]), spec.to_text()
+        # degree n mod P: the characteristic polynomial, with no check
+        # over Z and no rerun
         monkeypatch.setattr(spectra, "_annihilates", unused)
         monkeypatch.setattr(spectra, "_minimal_polynomial_rational", unused)
         for spec, graph, psi in cyclic_p:
-            if _krylov_rank_mod_2(graph) < graph.n:
-                assert minimal_polynomial(graph, charpoly=psi) is psi, spec.to_text()
+            assert minimal_polynomial(graph) == psi, spec.to_text()
         monkeypatch.undo()
-        # cyclic mod 2: neither mod-P search runs, and a passed charpoly
-        # is checked on e_1 alone
+        # cyclic mod 2: the mod-P search never runs
         monkeypatch.setattr(spectra, "_minimal_polynomial_mod_p", unused)
         monkeypatch.setattr(spectra, "_minimal_polynomial_rational", unused)
         for spec, graph, psi in cyclic_2:
             assert minimal_polynomial(graph) == psi, spec.to_text()
-        monkeypatch.setattr(spectra, "charpoly_exact", unused)
-        for spec, graph, psi in cyclic_2:
-            assert minimal_polynomial(graph, charpoly=psi) is psi, spec.to_text()
 
     def test_krylov_rank_counts_every_power(self):
+        x = IntPolynomial.x()
         for n in range(1, 9):
             cycle = build_digraph(n, [(i, i % n + 1) for i in range(1, n + 1)])
-            expected = IntPolynomial.monomial(n) - 1
-            assert spectra._minimal_polynomial_mod_p(cycle) == (expected, range(1, 2))
-        e1 = spectra._krylov_minpoly_mod_p(THREE_CYCLE_AND_LOOP, _unit(4))
+            modular, vectors = spectra._minimal_polynomial_mod_p(cycle)
+            assert modular == x**n - 1
+            assert _krylov_rank(cycle, *vectors) == n > _krylov_rank(cycle, *vectors[:-1])
+        e1, _ = spectra._krylov_minpoly_mod_p(THREE_CYCLE_AND_LOOP, _unit(4))
         assert e1 == [P - 1, 0, 0, 1]
-        modular, processed = spectra._minimal_polynomial_mod_p(THREE_CYCLE_AND_LOOP)
-        assert (modular.degree, processed) == (3, range(1, 5))
+        modular, vectors = spectra._minimal_polynomial_mod_p(THREE_CYCLE_AND_LOOP)
+        assert (modular.degree, len(vectors)) == (3, 2)
+        assert [_krylov_rank(THREE_CYCLE_AND_LOOP, *vectors[:k]) for k in (1, 2)] == [3, 4]
 
     def test_derogatory_three_cycle_with_looped_vertex(self):
         d = THREE_CYCLE_AND_LOOP
@@ -844,7 +976,6 @@ class TestCyclicVectorShortcut:
         psi = charpoly_exact(d)
         assert psi == cube * IntPolynomial((-1, 1))
         assert minimal_polynomial(d) == cube
-        assert minimal_polynomial(d, charpoly=psi) == cube
         assert not is_non_derogatory(d)
 
     @pytest.mark.parametrize(
@@ -861,30 +992,24 @@ class TestCyclicVectorShortcut:
         [
             lambda psi: psi + 1,
             lambda psi: psi - IntPolynomial.monomial(psi.degree - 1),
-            lambda psi: psi.shift(1),
-            lambda psi: 2 * psi,
-            lambda psi: -psi,
             lambda psi: psi + 2,
             lambda psi: psi + IntPolynomial.monomial(psi.degree // 2, 2),
         ],
-        ids=[
-            "plus 1",
-            "second coefficient",
-            "degree n+1",
-            "not monic",
-            "negated",
-            "plus 2",
-            "plus 2x^k",
-        ],
+        ids=["plus 1", "second coefficient", "plus 2", "plus 2x^k"],
     )
-    def test_wrong_charpoly_raises(self, graph, cyclic_mod_2, wrong):
-        """ψ + 2 and ψ + 2x^k agree with ψ mod 2, so on the cyclic-mod-2
-        graph only the check over Z tells them apart; on ADW n=8, whose
-        e_1 is cyclic mod P but not mod 2, only the congruence mod P."""
+    def test_wrong_charpoly_raises(self, monkeypatch, graph, cyclic_mod_2, wrong):
+        """A perturbed characteristic polynomial is refused by both checks
+        over Z behind the search: the certificate on the processed start
+        vectors, and the fallback's m(A) = 0 check on the unit vectors,
+        which raises.  ψ + 2 and ψ + 2x^k agree with ψ mod 2, so only
+        the arithmetic over Z tells them apart."""
         assert spectra._cyclic_mod_2(graph) is cyclic_mod_2
         bad = wrong(charpoly_exact(graph))
-        with pytest.raises(ValueError, match="not the characteristic polynomial"):
-            minimal_polynomial(graph, bad)
+        _, vectors = spectra._minimal_polynomial_mod_p(graph)
+        assert not spectra._annihilates(bad, graph, vectors)
+        monkeypatch.setattr(spectra, "_minimal_polynomial_rational", lambda _: bad)
+        with pytest.raises(ExactnessCheckFailed, match="does not annihilate A"):
+            spectra._certified(bad, graph, vectors)
 
 
 def _sympy_minimal_polynomial(sp, d):
@@ -956,10 +1081,12 @@ class TestNonDerogatory:
                 assert is_non_derogatory(graph), spec.to_text()
 
     def test_rank_n_verdict_skips_the_charpoly(self, monkeypatch):
-        """Krylov rank n of e_1 mod P already gives degree n, so the
-        verdict never forms the characteristic polynomial."""
+        """Degree n in either tier already gives the verdict, so it
+        never forms the characteristic polynomial."""
         cyclic = [
-            graph for _, graph in _family_sweep(9) if _krylov_rank(graph, _unit(graph.n)) == graph.n
+            graph
+            for _, graph in _family_sweep(9)
+            if spectra._minimal_polynomial_rational(graph).degree == graph.n
         ]
         assert len(cyclic) > 100
 

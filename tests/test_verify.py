@@ -11,12 +11,18 @@ Core claims:
       well formed and deterministic; a row's dict equals
       dataclasses.asdict (keys, order, values) on all 589 default rows,
       with its lists copied
+    - build_report("all") is pinned byte for byte in all four formats
+      by sha256 digests
+    - build_row runs the trace recursion once per row: a degree-n
+      minimal polynomial is taken as the characteristic polynomial, and
+      a row whose e_1 is cyclic mod 2 never reaches the Z certificate
     - the three distinct-eigenvalue methods return auditable
       certificates matching the worked instances
 """
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import random
@@ -26,12 +32,15 @@ import pytest
 from digraph_spectra import (
     FamilySpec,
     build_digraph,
+    build_family,
     build_report,
     distinctness_check,
     parse_family_spec,
 )
+from digraph_spectra import spectra, verify
 from digraph_spectra.digraph import walk_row
-from digraph_spectra.verify import VerificationReport
+from digraph_spectra.families import TABLE_NAMES
+from digraph_spectra.verify import VerificationReport, build_row
 
 from conftest import mat_mul
 
@@ -155,14 +164,82 @@ class TestReportFormats:
         assert "SKIP" in text
 
 
-def test_row_dict_matches_dataclasses_asdict_on_the_default_tables():
-    rows = build_report("all").rows
+@pytest.fixture(scope="module")
+def default_report():
+    """build_report("all") once, at the default enumeration cap."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(spectra.CAP_ENV_VAR, raising=False)
+        return build_report("all")
+
+
+# sha256 of the default report in each format: a change to any default
+# row's content or to a serializer shows here
+DEFAULT_REPORT_SHA256 = {
+    "json": "6f85cc76b9395eab9531a5beb8046659e0425dcd4dba9aa60c6c595bedbe8860",
+    "csv": "2a268c55727267015d6d722df07e97c8e2094e3a7adae3b9a075a04d218d4a77",
+    "md": "c63f8df065e356556c1f4f093baad503cb2812f49cb22d7164d2e0c3c49f1bef",
+    "text": "3e064faa7f1dde55c4fa1e15c8cc64414b44c72dd8eaaa416d577768c0bb4ce3",
+}
+
+
+def test_default_report_bytes_are_pinned(default_report):
+    outputs = {
+        "json": default_report.to_json_doc(),
+        "csv": default_report.to_csv(),
+        "md": default_report.to_markdown(),
+        "text": default_report.to_text(),
+    }
+    digests = {fmt: hashlib.sha256(out.encode()).hexdigest() for fmt, out in outputs.items()}
+    assert digests == DEFAULT_REPORT_SHA256
+
+
+def test_row_dict_matches_dataclasses_asdict_on_the_default_tables(default_report):
+    rows = default_report.rows
     assert len(rows) == 589
     for row in rows:
         got, want = row.to_dict(), dataclasses.asdict(row)
         assert list(got.items()) == list(want.items()), row.spec
         for key in ("witness_pair", "expected_no_walk_pair"):
             assert got[key] is None or got[key] is not getattr(row, key)
+
+
+def test_route_1_runs_once_per_row(monkeypatch):
+    """One row per table: the trace recursion runs once per built row,
+    inside minimal_polynomial or from build_row, and the Z certificate
+    runs only on rows whose e_1 is not cyclic mod 2."""
+    rows = {
+        "cdc": "family=DCn_i_nmi n=8",  # e_1 cyclic mod 2
+        "cdf": "family=ADF n=14",  # cyclic mod P only
+        "cdw": "family=ADW n=8",  # cyclic mod P only
+        "derived": "family=Zn_loop n=9 j=4",
+        "complements": "family=UDWc n=9",  # derogatory
+        "exponents": "family=DCc n=10",  # no minimal polynomial
+    }
+    assert set(rows) == set(TABLE_NAMES)
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        return wrapper
+
+    route_1 = counted("charpoly_exact", spectra.charpoly_exact)
+    monkeypatch.setattr(spectra, "charpoly_exact", route_1)
+    monkeypatch.setattr(verify, "charpoly_exact", route_1)
+    monkeypatch.setattr(spectra, "_annihilates", counted("_annihilates", spectra._annihilates))
+    kinds = set()
+    for table, text in rows.items():
+        spec = parse_family_spec(text)
+        cyclic_mod_2 = spectra._cyclic_mod_2(build_family(spec))
+        calls.clear()
+        row = build_row(table, spec)
+        assert row.skipped is None and calls["charpoly_exact"] == 1, text
+        if cyclic_mod_2:
+            assert "_annihilates" not in calls, text
+        kinds.add((cyclic_mod_2, row.non_derogatory, "_annihilates" in calls))
+    assert {(True, True, False), (False, True, False), (False, False, True)} <= kinds
 
 
 def test_json_doc_equals_whole_document_dump():
