@@ -147,28 +147,26 @@ def complement(d: Digraph) -> Digraph:
     return Digraph(n=d.n, arcs=arcs)
 
 
-def _reaches_all(rows) -> bool:
-    """Whether a search from vertex 0 along the (head, multiplicity)
-    rows reaches every vertex."""
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w, _ in rows[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(rows)
+def _levels(rows) -> list[int]:
+    """Breadth-first levels from vertex 0 along the (head, multiplicity)
+    rows; -1 marks a vertex the search does not reach."""
+    level = [-1] * len(rows)
+    level[0] = 0
+    queue = [0]
+    for u in queue:  # the queue grows while it is read
+        next_level = level[u] + 1
+        for v, _ in rows[u]:
+            if level[v] < 0:
+                level[v] = next_level
+                queue.append(v)
+    return level
 
 
 def is_strongly_connected(d: Digraph) -> bool:
     """Vertex 1 reaches every vertex along the successor rows, and
     every vertex reaches it: vertex 1 reaches all along the predecessor
     rows built from them."""
-    tails: list[list[tuple[int, int]]] = [[] for _ in d.rows]
-    for v, row in enumerate(d.rows):
-        for h, m in row:
-            tails[h].append((v, m))
-    return _reaches_all(d.rows) and _reaches_all(tails)
+    return _strong_cycle_gcd(d) is not None
 
 
 def cycle_gcd(d: Digraph) -> int:
@@ -179,26 +177,32 @@ def cycle_gcd(d: Digraph) -> int:
     all arcs equals the cycle gcd.  Returns 0 for a single vertex with
     no loop (no cycles at all).
     """
-    if not is_strongly_connected(d):
+    g = _strong_cycle_gcd(d)
+    if g is None:
         raise NotStronglyConnected("cycle gcd needs a strongly connected digraph")
-    return _level_gcd(d)
+    return g
 
 
-def _level_gcd(d: Digraph) -> int:
-    """cycle_gcd of a digraph already known to be strongly connected."""
-    level = {0: 0}
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v, _ in d.rows[u]:
-            if v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
+def _strong_cycle_gcd(d: Digraph) -> int | None:
+    """cycle_gcd of d, or None when d is not strongly connected.  The
+    forward search that gives the levels also shows whether vertex 1
+    reaches every vertex, so only the backward search runs besides it;
+    the residues stop at the first gcd of 1, which no further residue
+    changes."""
+    level = _levels(d.rows)
+    if -1 in level:
+        return None
+    tails: list[list[tuple[int, int]]] = [[] for _ in d.rows]
+    for v, row in enumerate(d.rows):
+        for h, m in row:
+            tails[h].append((v, m))
+    if -1 in _levels(tails):
+        return None
     g = 0
     for i, j, _ in d.arcs:
         g = gcd(g, abs(level[i - 1] + 1 - level[j - 1]))
+        if g == 1:
+            break
     return g
 
 

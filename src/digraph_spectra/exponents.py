@@ -1,13 +1,17 @@
 """Primitivity and exponents of digraphs.
 
 A digraph is primitive iff it is strongly connected and the gcd of its
-cycle lengths is 1; its exponent is the least k with every entry of A^k
-positive.  The iteration packs each boolean row into an int bitmask and
-forms A^(k+1) = A A^k by pushing the powers through the successor table
-``d.rows``: row i is the OR of the rows of A^k at i's successors, one OR
-per arc per step.  It is guarded by the (n-1)^2 + 1 bound on primitive
-exponents, which is a checked theorem, not a tunable: passing it raises
-ExactnessCheckFailed.
+cycle lengths is 1, which one search forward from vertex 1 (whose levels
+give the cycle gcd) and one backward decide; its exponent is the least
+k with every entry of A^k positive.  The iteration packs each boolean
+row into an int bitmask and forms A^(k+1) = A A^k by pushing the powers
+through the successor table ``d.rows``: row i is the OR of the rows of
+A^k at i's successors.  As in the trace recursion's rows, a vertex with
+one successor reuses that successor's row of A^k, so a step costs one
+OR per arc beyond each vertex's first, and "every row full" is one
+count of the full mask.  It is guarded by the (n-1)^2 + 1 bound on
+primitive exponents, which is a checked theorem, not a tunable: passing
+it raises ExactnessCheckFailed.
 
 The witness pair of an exponent result is the lexicographically
 smallest (i, j) with no walk of length exponent-1 from i to j, the
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, _level_gcd, is_strongly_connected
+from .digraph import Digraph, _strong_cycle_gcd
 from .polynomial import ExactnessCheckFailed
 
 
@@ -36,8 +40,8 @@ class ExponentResult:
 
 
 def is_primitive(d: Digraph) -> bool:
-    """Strongly connected (checked once) with cycle gcd 1."""
-    return is_strongly_connected(d) and _level_gcd(d) == 1
+    """Strongly connected with cycle gcd 1."""
+    return _strong_cycle_gcd(d) == 1
 
 
 def exponent(d: Digraph) -> ExponentResult:
@@ -48,18 +52,21 @@ def exponent(d: Digraph) -> ExponentResult:
     n = d.n
     full = (1 << n) - 1
     rows = d.rows
+    first = [row[0][0] for row in rows]  # a primitive digraph has no sink
+    extra = [(v, [h for h, _ in row[1:]]) for v, row in enumerate(rows) if len(row) > 1]
     power = [sum([1 << h for h, _ in row]) for row in rows]
     previous = None
     e = 1
     bound = (n - 1) * (n - 1) + 1
-    while any(row != full for row in power):
+    while power.count(full) < n:
         previous = power
-        power = []  # A^(e+1) = A A^e: row i is the OR of A^e's rows at i's successors
-        for row in rows:
-            acc = 0
-            for h, _ in row:
+        # A^(e+1) = A A^e: row i is the OR of A^e's rows at i's successors
+        power = [previous[h] for h in first]
+        for v, heads in extra:
+            acc = power[v]
+            for h in heads:
                 acc |= previous[h]
-            power.append(acc)
+            power[v] = acc
         e += 1
         if e > bound:
             raise ExactnessCheckFailed("exponent exceeded the primitive-digraph bound")

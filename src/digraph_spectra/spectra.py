@@ -14,7 +14,8 @@ Two independent routes to the characteristic polynomial:
   subgraphs (collections of vertex-disjoint directed cycles, signed by
   component count and weighted by loop multiplicities) as Mahajan and
   Vinay's clow-sequence sum: a dynamic programme over closed walks
-  through the successor table, polynomial in n.
+  through the successor table, polynomial in n, run only from the heads
+  that an arc from a vertex at or above them re-enters.
   :func:`enumerate_ldsgs` lists the subgraphs themselves, one by one.
 
 The two routes share no arithmetic, only the successor table ``d.rows``,
@@ -24,9 +25,11 @@ assertion by the verification pipeline.  Both run whenever asked;
 choice of which rows get the second route.
 
 The minimal polynomial comes from Krylov sequences in two tiers.  The
-first works mod 2 on bitmasks: when e_1, A e_1, ..., A^(n-1) e_1 are
-independent mod 2, e_1 is a cyclic vector over Q and the minimal
-polynomial is the characteristic polynomial.  Otherwise it is the lcm of
+first works mod 2 on bitmasks, from e_1 and then up to n seeded 0/1
+start vectors u: when u, A u, ..., A^(n-1) u are independent mod 2, u
+is a cyclic vector over Q and the minimal polynomial is the
+characteristic polynomial.  Only a digraph whose A mod 2 is derogatory
+gets past this tier.  Otherwise the minimal polynomial is the lcm of
 the Krylov minimal polynomials of seeded small-integer start vectors
 modulo the prime P = 2^61 - 1, each read off one elimination by
 back-substitution, while one echelon basis mod P tracks the joint rank
@@ -263,11 +266,23 @@ def charpoly_ldsg(d: Digraph) -> IntPolynomial:
     clows_h[l] is the weight of the length-l clows with head h: walks
     are pushed through ``d.rows``, O(n^2 * arcs) integer work in all, and
     no arithmetic is shared with the trace recursion.  No size limit.
+
+    A clow with head h ends on an arc u -> h with u >= h (u = h for a
+    loop), so a head that no arc from a vertex >= h re-enters has no
+    clow and the factor 1; the largest tail of an arc into each vertex,
+    taken once from the successor table, skips such heads without a
+    walk.  On a cycle with a few added arcs most heads are skipped.
     """
     n = d.n
     rows = d.rows
+    top = [-1] * n  # top[h]: the largest tail of an arc into h
+    for u, row in enumerate(rows):
+        for v, _ in row:
+            top[v] = u
     coeffs = [1] + [0] * n  # coeffs[i]: coefficient of x^(n-i)
     for h in range(n):
+        if top[h] < h:
+            continue
         clows = [0] * (n + 1)
         walks = {h: 1}  # end vertex -> weight of walks from h through vertices > h
         for length in range(1, n + 1):
@@ -294,10 +309,12 @@ def charpoly_ldsg(d: Digraph) -> IntPolynomial:
 def minimal_polynomial(d: Digraph) -> IntPolynomial:
     """Monic generator of the polynomials f with f(A) = 0.
 
-    First tier, mod 2: when :func:`_cyclic_mod_2` finds e_1, A e_1, ...,
-    A^(n-1) e_1 independent mod 2, the integer Krylov matrix has an odd,
-    hence nonzero, determinant, so e_1 is a cyclic vector over Q and the
-    minimal polynomial is the characteristic polynomial.
+    First tier, mod 2: e_1, then up to n seeded 0/1 vectors u.  When
+    :func:`_cyclic_mod_2` finds u, A u, ..., A^(n-1) u independent mod
+    2, the integer Krylov matrix has an odd, hence nonzero, determinant,
+    so u is a cyclic vector over Q and the minimal polynomial is the
+    characteristic polynomial.  No u passes when A mod 2 is itself
+    derogatory.
 
     Second tier, mod P = ``MINPOLY_PRIME``: Krylov sequences of start
     vectors u (Wiedemann 1986), seeded ones with entries in -3..3 first.
@@ -334,28 +351,45 @@ def _krylov_tiers(d: Digraph) -> tuple[IntPolynomial, list[list[int]]] | None:
     """None when a tier reaches degree n, so the minimal polynomial is
     the characteristic polynomial; else the mod-P search's m, of lower
     degree, and the start vectors it processed."""
-    if _cyclic_mod_2(d):
+    columns = _columns_mod_2(d)
+    if any(_cyclic_mod_2(columns, u) for u in _start_vectors_mod_2(d.n)):
         return None
     m, vectors = _minimal_polynomial_mod_p(d)
     return None if m.degree == d.n else (m, vectors)
 
 
-def _cyclic_mod_2(d: Digraph) -> bool:
-    """Whether e_1, A e_1, ..., A^(n-1) e_1 have rank n mod 2.
-
-    A mod 2 is packed into n column bitmasks (bit v of column h set when
-    arc (v, h) has odd multiplicity), so A v mod 2 is the XOR of the
-    columns at v's set bits.  Each Krylov vector is reduced by XOR
-    against the basis rows with its leading bit; the first one that
-    reduces to zero ends the sequence below rank n."""
-    n = d.n
-    columns = [0] * n
+def _columns_mod_2(d: Digraph) -> list[int]:
+    """A mod 2 as n column bitmasks: bit v of column h is set when arc
+    (v, h) has odd multiplicity."""
+    columns = [0] * d.n
     for v, row in enumerate(d.rows):
         for h, w in row:
             if w & 1:
                 columns[h] |= 1 << v
+    return columns
+
+
+def _start_vectors_mod_2(n: int):
+    """The GF(2) tier's start vectors as bitmasks: e_1, then n seeded
+    0/1 vectors."""
+    yield 1
+    rng = random.Random(KRYLOV_SEED)
+    for _ in range(n):
+        yield rng.getrandbits(n)
+
+
+def _cyclic_mod_2(columns: list[int], u: int) -> bool:
+    """Whether u, A u, ..., A^(n-1) u have rank n mod 2, for the 0/1
+    vector u given as a bitmask and A mod 2 as :func:`_columns_mod_2`.
+
+    A v mod 2 is the XOR of the columns at v's set bits.  Each Krylov
+    vector is reduced by XOR against the basis rows with its leading
+    bit; the first one that reduces to zero ends the sequence below rank
+    n.  Rank n mod 2 means the integer Krylov matrix of u has an odd,
+    hence nonzero, determinant, so u is a cyclic vector over Q."""
+    n = len(columns)
     basis: dict[int, int] = {}  # leading bit -> basis row
-    v = 1  # e_1
+    v = u
     for k in range(n):
         x = v
         while x:
@@ -376,7 +410,7 @@ def _cyclic_mod_2(d: Digraph) -> bool:
     return True
 
 
-KRYLOV_SEED = 1986  # seeds the start vectors of the mod-P search
+KRYLOV_SEED = 1986  # seeds the start vectors of the GF(2) tier and the mod-P search
 
 
 def _start_vectors(n: int):

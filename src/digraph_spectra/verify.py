@@ -234,7 +234,9 @@ def build_row(table: str, spec: FamilySpec) -> ReportRow:
         row.non_derogatory = mp.degree == graph.n
         if psi.degree >= 1:
             row.squarefree_q = is_squarefree(psi, "Q")
-            row.squarefree_f2 = is_squarefree(psi, "F2")
+            # squarefree mod 2 implies squarefree over Q, so only a
+            # polynomial squarefree over Q can be squarefree mod 2
+            row.squarefree_f2 = row.squarefree_q and is_squarefree(psi, "F2")
         if psi.is_monic and psi.degree >= 2:
             row.perron = perron_irreducible(psi)
             row.brauer = brauer_form(psi).value

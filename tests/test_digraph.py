@@ -5,7 +5,9 @@ Core claims:
       rejects parallel non-loop arcs and out-of-range endpoints
     - complement is the loopless complement, an involution on simple
       digraphs, with arc counts summing to n(n-1)
-    - strong connectivity and cycle gcd match the worked instances
+    - strong connectivity and cycle gcd match the worked instances and
+      a walk_count reference (reachability, closed-walk lengths up to n)
+      on seeded cycles and paths with chords and loops
     - walk_count(d, k) equals A^k exactly, agrees with brute-force
       walk enumeration for small digraphs, and is multiplicative in k
     - the 0-based successor table, the product A v and walk_row agree
@@ -13,6 +15,7 @@ Core claims:
     - text and JSON serializations round-trip
 """
 
+import math
 import random
 
 import pytest
@@ -234,6 +237,41 @@ class TestConnectivity:
     def test_loop_forces_gcd_one(self):
         d = build_digraph(2, [(1, 2), (2, 1), (1, 1)])
         assert cycle_gcd(d) == 1
+
+    def test_matches_walk_count_reference(self):
+        """Seeded digraphs (a cycle or path plus random chords and loops):
+        strongly connected iff every entry of I + A + ... + A^(n-1) is
+        positive, and the cycle gcd is the gcd of the k <= n with a
+        closed walk of length k, since every closed walk splits into
+        cycles of length at most n."""
+        rng = random.Random(4044)
+        gcds = []
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            order = rng.sample(range(1, n + 1), n)
+            arcs = {(u, v) for u, v in zip(order, order[1:] + order[:1]) if u != v}
+            if rng.random() < 0.2:
+                arcs.discard((order[-1], order[0]))
+            step = rng.randint(1, n)
+            chords = rng.sample(range(n), rng.randint(0, min(n, 2)))
+            arcs |= {(order[i], order[(i + step) % n]) for i in chords}
+            d = build_digraph(n, sorted(arcs))
+            powers = [walk_count(d, k) for k in range(1, n + 1)]
+            strong = all(
+                i == j or any(p.entry(i, j) for p in powers[:-1] or [powers[0]])
+                for i in range(1, n + 1)
+                for j in range(1, n + 1)
+            )
+            assert is_strongly_connected(d) is strong, d.arcs
+            if not strong:
+                continue
+            g = 0
+            for k, p in enumerate(powers, 1):
+                if any(p.entry(i, i) for i in range(1, n + 1)):
+                    g = math.gcd(g, k)
+            assert cycle_gcd(d) == g, d.arcs
+            gcds.append(g)
+        assert gcds.count(1) > 20 and sum(g > 1 for g in gcds) > 20 and gcds.count(0) >= 1
 
 
 # -- walk counts ------------------------------------------------------

@@ -9,7 +9,8 @@ Core claims:
     - the witness pair is the lexicographically smallest zero of
       A^(e-1), cross-checked with exact integer powers; exponent and
       witness match a walk_count reference on seeded random strongly
-      connected digraphs
+      connected digraphs, and on cycles with one to three added arcs or
+      weighted loops, where most vertices have one successor
     - the stated no-walk pair of the full-fan row is refuted by direct
       computation: the hub loop supplies a walk of length n-1 from
       vertex n-1 to 2, and the genuinely zero row is row 2
@@ -137,8 +138,9 @@ class TestExponentInvariants:
 
     def test_matches_walk_count_reference(self):
         """Seeded random strongly connected digraphs (a Hamiltonian cycle
-        plus random arcs and weighted loops): the exponent is the least
-        k with A^k > 0 and the witness the smallest zero of A^(k-1)."""
+        plus random arcs and weighted loops, then a cycle plus one to
+        three arcs or loops): the exponent is the least k with A^k > 0
+        and the witness the smallest zero of A^(k-1)."""
         rng = random.Random(6061)
         primitive = 0
         for _ in range(60):
@@ -152,6 +154,23 @@ class TestExponentInvariants:
             assert result == _reference_exponent(d)
             primitive += result.primitive
         assert primitive >= 20
+        # the paper's shape: a cycle plus one to three arcs or weighted
+        # loops, so most vertices have one successor and the powers grow
+        # only through the extra arcs
+        sparse = 0
+        for _ in range(80):
+            n = rng.randint(2, 9)
+            order = rng.sample(range(1, n + 1), n)
+            arcs = {(u, v, 1) for u, v in zip(order, order[1:] + order[:1])}
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randint(1, n), rng.randint(1, n)
+                arcs.add((i, j, rng.randint(1, 3) if i == j else 1))
+            d = build_digraph(n, list({(i, j): (i, j, w) for i, j, w in arcs}.values()))
+            result = exponent(d)
+            assert result == _reference_exponent(d), d.arcs
+            single = sum(len(row) == 1 for row in d.rows)
+            sparse += result.primitive and 2 * single > n and result.exponent > 2
+        assert sparse >= 25
 
     def test_witness_is_lexicographically_smallest(self):
         rng = random.Random(31)

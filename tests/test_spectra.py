@@ -7,7 +7,9 @@ Core claims:
       (the full 200-case oracle run lives in the acceptance suite), also
       with the shared product A v and walk push patched to raise
     - the clow-sequence route reproduces the term sum of the listed
-      covers (loop multiplicities, sinks), and the trace recursion on
+      covers (loop multiplicities, sinks, and sparse digraphs where most
+      heads have no re-entering arc and are skipped, many re-entered by
+      their own loop alone), and the trace recursion on
       every default-table row above the default cap, on the 126 exponents
       rows at n = 21..32 and on DCc at n=24
     - the packed-row trace recursion matches a matrix-product reference on
@@ -41,16 +43,17 @@ Core claims:
       back-substitution is monic, annihilates its vector mod P and has
       the degree of a test-local Krylov rank mod P (n = 1, sinks, loop
       multiplicities, the zero vector)
-    - the GF(2) tier's Krylov rank test on e_1 agrees with a test-local
-      Gauss-Jordan rank mod 2 of all n Krylov vectors on the family
-      sweep and on seeded loop digraphs with even and odd loop
-      multiplicities (rank n - 1 cases included), and says no on every
-      derogatory digraph
-    - a cyclic e_1 mod 2 skips the mod-P search and returns the
-      characteristic polynomial; a cyclic first start vector mod P ends
-      the search after one vector, with no check over Z; the derogatory
-      3-cycle plus looped vertex (e_1 of rank n - 1) still gets x^3 - 1
-      from the certified search, after two vectors
+    - the GF(2) tier's Krylov rank test on e_1 and on each seeded 0/1
+      vector it tries agrees with a test-local Gauss-Jordan rank mod 2
+      of all n Krylov vectors on the family sweep and on seeded loop
+      digraphs with even and odd loop multiplicities (rank n - 1 cases
+      included); no start vector passes on a derogatory digraph, and the
+      mod-P search runs on exactly 10 of the 458 deep default rows
+    - a cyclic e_1 or seeded vector mod 2 skips the mod-P search and
+      returns the characteristic polynomial; a cyclic first start vector
+      mod P ends the search after one vector, with no check over Z; the
+      derogatory 3-cycle plus looped vertex (e_1 of rank n - 1) still
+      gets x^3 - 1 from the certified search, after two vectors
     - a perturbed characteristic polynomial (plus 1, 2 or 2x^k, or the
       x^(n-1) term changed) fails the Z certificate on the processed
       vectors, and the fallback's m(A) = 0 check raises on it, also
@@ -491,18 +494,39 @@ class TestEnumerateLdsgs:
 
     def test_clow_route_matches_the_listing(self):
         """charpoly_ldsg against the term sum of the listed covers, on
-        digraphs with loop multiplicities up to 4 and with sinks."""
+        digraphs with loop multiplicities up to 4 and with sinks, and on
+        sparse ones (a shuffled cycle or path plus a few arcs and loops)
+        where most heads have no re-entering arc and are skipped; a loop
+        is often the only arc that re-enters its head."""
         rng = random.Random(8080)
+        graphs = []
         for _ in range(40):
             n = rng.randint(1, 8)
             sinks = set(rng.sample(range(1, n + 1), rng.randint(0, n // 2)))
             d = _random_loop_digraph(rng, n)
-            d = build_digraph(n, [arc for arc in d.arcs if arc[0] not in sinks])
+            graphs.append(build_digraph(n, [arc for arc in d.arcs if arc[0] not in sinks]))
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            order = rng.sample(range(1, n + 1), n)
+            arcs = {(u, v, 1) for u, v in zip(order, order[1:] + order[:1]) if u != v}
+            if rng.random() < 0.3:
+                arcs.discard((order[-1], order[0], 1))  # a path: no cycle through all
+            arcs |= {(rng.randint(1, n), rng.randint(1, n), 1) for _ in range(rng.randint(0, 2))}
+            looped = rng.sample(range(1, n + 1), rng.randint(0, min(n, 2)))
+            loops = {(v, v, rng.randint(1, 4)) for v in looped}
+            graphs.append(build_digraph(n, [a for a in arcs if a[0] != a[1]] + list(loops)))
+        skipped = loop_only = 0
+        for d in graphs:
+            n = d.n
             coeffs = [1] + [
                 sum((-1) ** c.components * c.weight for c in enumerate_ldsgs(d, i))
                 for i in range(1, n + 1)
             ]
-            assert charpoly_ldsg(d) == IntPolynomial(reversed(coeffs)), d
+            assert charpoly_ldsg(d) == IntPolynomial(reversed(coeffs)), d.arcs
+            tails = [[u for u, v, _ in d.arcs if v == h] for h in range(1, n + 1)]
+            skipped += sum(max(t, default=0) < h for h, t in enumerate(tails, 1))
+            loop_only += sum(max(t, default=0) == h for h, t in enumerate(tails, 1))
+        assert skipped > 150 and loop_only > 30
 
     def test_no_duplicate_covers(self):
         rng = random.Random(23)
@@ -858,13 +882,14 @@ class TestJointKrylovRank:
             assert spectra._certified(modular, d, vectors) == modular
 
 
-def _krylov_rank_mod_2(d):
-    """Rank mod 2 of e_1, A e_1, ..., A^(n-1) e_1 by Gauss-Jordan
+def _krylov_rank_mod_2(d, start=1):
+    """Rank mod 2 of u, A u, ..., A^(n-1) u (u = e_1 by default, else
+    the 0/1 vector with bit i of ``start`` as entry i) by Gauss-Jordan
     elimination of all n vectors, as 0/1 lists from the adjacency
     matrix, independent of the tier's bitmasks and its early stop."""
     n = d.n
     a = d.adjacency_matrix()
-    rows = [_unit(n)]
+    rows = [[(start >> i) & 1 for i in range(n)]]
     for _ in range(n - 1):
         rows.append([sum(x * y for x, y in zip(row, rows[-1])) % 2 for row in a])
     rank = 0
@@ -889,46 +914,110 @@ def _loop_parity_digraphs():
         yield _random_loop_digraph(rng, n, p=rng.choice([0.15, 0.3, 0.5, 0.8]))
 
 
+def _e1_cyclic_mod_2(d):
+    return spectra._cyclic_mod_2(spectra._columns_mod_2(d), 1)
+
+
+def _tried_mod_2(d):
+    """The GF(2) tier's start vectors as bitmasks, e_1 first, up to the
+    first one it accepts, each with the tier's verdict."""
+    columns = spectra._columns_mod_2(d)
+    tried = []
+    for u in spectra._start_vectors_mod_2(d.n):
+        tried.append((u, spectra._cyclic_mod_2(columns, u)))
+        if tried[-1][1]:
+            break
+    return tried
+
+
+def _deep_default_rows():
+    for table in TABLE_NAMES:
+        if table == "exponents":
+            continue
+        for spec in table_specs(table, *DEFAULT_RANGES[table]):
+            try:
+                yield table, spec, build_family(spec)
+            except InvalidParameter:
+                continue
+
+
 class TestCyclicMod2:
-    """The GF(2) first tier: Krylov rank n of e_1 mod 2, against a
-    test-local Gauss-Jordan rank of all n vectors."""
+    """The GF(2) first tier: Krylov rank n mod 2 of e_1 and of the
+    seeded 0/1 start vectors, against a test-local Gauss-Jordan rank of
+    all n vectors."""
 
     def test_matches_gauss_jordan_rank(self):
         graphs = [graph for _, graph in _family_sweep(9)] + list(_loop_parity_digraphs())
         ranks = []
+        seeded = []
         for d in graphs:
             rank = _krylov_rank_mod_2(d)
-            assert spectra._cyclic_mod_2(d) is (rank == d.n), d.arcs
+            assert _e1_cyclic_mod_2(d) is (rank == d.n), d.arcs
             ranks.append(d.n - rank)
+            for u, accepted in _tried_mod_2(d)[1:]:
+                rank = _krylov_rank_mod_2(d, u)
+                assert accepted is (rank == d.n), (d.arcs, u)
+                seeded.append(d.n - rank)
         # rank n - 1 is where accepting one vector too few would show
         assert ranks.count(0) > 100 and ranks.count(1) > 20 and max(ranks) > 1
+        assert seeded.count(0) > 80 and seeded.count(1) > 200 and max(seeded) > 1
 
     def test_derogatory_digraphs_are_not_cyclic(self):
+        """No start vector mod 2 passes on a derogatory digraph, so every
+        one of them reaches the mod-P search."""
         derogatory = 0
         for d in [graph for _, graph in _family_sweep(9)] + list(_loop_parity_digraphs()):
             m, processed = spectra._minimal_polynomial_mod_p(d)
             if spectra._certified(m, d, processed).degree < d.n:
-                assert not spectra._cyclic_mod_2(d), d.arcs
+                tried = _tried_mod_2(d)
+                assert len(tried) == d.n + 1 and not any(v for _, v in tried), d.arcs
+                assert spectra._krylov_tiers(d) is not None, d.arcs
                 derogatory += 1
         assert derogatory > 20
 
+    def test_mod_p_search_runs_on_ten_default_rows(self, monkeypatch):
+        """Of the 458 deep default rows, 44 miss at e_1 mod 2; a seeded
+        vector mod 2 decides 34 of them, and the mod-P search runs on
+        the other 10, where A mod 2 is itself derogatory."""
+        reached = []
+        search = spectra._minimal_polynomial_mod_p
+        monkeypatch.setattr(
+            spectra, "_minimal_polynomial_mod_p", lambda d: reached.append(d) or search(d)
+        )
+        rows = []
+        built = missed_e1 = 0
+        for table, spec, graph in _deep_default_rows():
+            built += 1
+            missed_e1 += not _e1_cyclic_mod_2(graph)
+            del reached[:]
+            minimal_polynomial(graph)
+            if reached:
+                rows.append((table, spec.to_text()))
+        assert (built, missed_e1) == (458, 44)
+        assert sorted(rows) == sorted(
+            [("cdw", f"family=ADW n={n}") for n in (5, 13)]
+            + [("complements", f"family=UDWc n={n}") for n in (5, 7, 9, 11, 13)]
+            + [("complements", f"family=DCc n={n}") for n in (6, 10, 14)]
+        )
+
     def test_even_loops_vanish_mod_2(self):
-        # A = 2I: derogatory; a 2-cycle with a double loop at one vertex
-        # is cyclic over Q but reads as a plain 2-cycle mod 2
-        assert not spectra._cyclic_mod_2(build_digraph(2, [(1, 1, 2), (2, 2, 2)]))
+        # A = 2I: derogatory, A mod 2 = 0; a 2-cycle with a double loop at
+        # one vertex is cyclic over Q but reads as a plain 2-cycle mod 2
+        twice_identity = build_digraph(2, [(1, 1, 2), (2, 2, 2)])
+        assert not any(v for _, v in _tried_mod_2(twice_identity))
         two_cycle = build_digraph(2, [(1, 2), (2, 1), (1, 1, 2)])
-        assert spectra._cyclic_mod_2(two_cycle)
+        assert _e1_cyclic_mod_2(two_cycle)
         assert minimal_polynomial(two_cycle) == charpoly_exact(two_cycle)
         # a single vertex is always cyclic
-        assert spectra._cyclic_mod_2(build_digraph(1, [(1, 1, 2)]))
-        assert spectra._cyclic_mod_2(build_digraph(1, []))
+        assert _e1_cyclic_mod_2(build_digraph(1, [(1, 1, 2)]))
+        assert _e1_cyclic_mod_2(build_digraph(1, []))
 
 
 class TestCyclicVectorShortcut:
-    """When e_1 is cyclic mod 2, or the first start vector is cyclic
-    mod P, the minimal polynomial is the characteristic polynomial with
-    no further search and no check over Z; below degree n the search and
-    its Z certificate run on."""
+    """When e_1 or a seeded start vector is cyclic mod 2, or the first
+    start vector is cyclic mod P, the minimal polynomial is the
+    characteristic polynomial with no further search and no check over
+    Z; below degree n the search and its Z certificate run on."""
 
     def test_rank_n_rows_skip_the_lcm_search(self, monkeypatch):
         def unused(*_):
@@ -941,6 +1030,13 @@ class TestCyclicVectorShortcut:
         cyclic_p = [case for case in sweep if _krylov_rank(case[1], first(case[1])) == case[1].n]
         cyclic_2 = [case for case in sweep if _krylov_rank_mod_2(case[1]) == case[1].n]
         assert len(cyclic_p) > len(cyclic_2) > 100
+        seeded_2 = []  # e_1 misses mod 2, the last vector the tier tried passes
+        for case in sweep:
+            graph = case[1]
+            last, _ = _tried_mod_2(graph)[-1]
+            if case not in cyclic_2 and _krylov_rank_mod_2(graph, last) == graph.n:
+                seeded_2.append(case)
+        assert len(seeded_2) > 10
         for spec, graph, _ in cyclic_p:
             modular, vectors = spectra._minimal_polynomial_mod_p(graph)
             assert (modular.degree, vectors) == (graph.n, [first(graph)]), spec.to_text()
@@ -951,10 +1047,10 @@ class TestCyclicVectorShortcut:
         for spec, graph, psi in cyclic_p:
             assert minimal_polynomial(graph) == psi, spec.to_text()
         monkeypatch.undo()
-        # cyclic mod 2: the mod-P search never runs
+        # e_1 or a seeded vector cyclic mod 2: the mod-P search never runs
         monkeypatch.setattr(spectra, "_minimal_polynomial_mod_p", unused)
         monkeypatch.setattr(spectra, "_minimal_polynomial_rational", unused)
-        for spec, graph, psi in cyclic_2:
+        for spec, graph, psi in cyclic_2 + seeded_2:
             assert minimal_polynomial(graph) == psi, spec.to_text()
 
     def test_krylov_rank_counts_every_power(self):
@@ -982,7 +1078,7 @@ class TestCyclicVectorShortcut:
         "graph, cyclic_mod_2",
         [
             (build_family(FamilySpec("DCn_i_nmi", 8)), True),
-            (build_family(FamilySpec("ADW", 8)), False),
+            (build_family(FamilySpec("ADW", 13)), False),
             (THREE_CYCLE_AND_LOOP, False),
         ],
         ids=["cyclic e_1", "cyclic e_1 mod P only", "derogatory"],
@@ -1002,8 +1098,13 @@ class TestCyclicVectorShortcut:
         over Z behind the search: the certificate on the processed start
         vectors, and the fallback's m(A) = 0 check on the unit vectors,
         which raises.  ψ + 2 and ψ + 2x^k agree with ψ mod 2, so only
-        the arithmetic over Z tells them apart."""
-        assert spectra._cyclic_mod_2(graph) is cyclic_mod_2
+        the arithmetic over Z tells them apart.  ADW n=13 is a
+        non-derogatory row whose A mod 2 is derogatory, so no start
+        vector mod 2 is cyclic and it reaches the mod-P search, where e_1
+        is cyclic."""
+        assert _tried_mod_2(graph)[-1][1] is cyclic_mod_2
+        if graph.n == 13:
+            assert _krylov_rank(graph, _unit(13)) == 13 and is_non_derogatory(graph)
         bad = wrong(charpoly_exact(graph))
         _, vectors = spectra._minimal_polynomial_mod_p(graph)
         assert not spectra._annihilates(bad, graph, vectors)

@@ -14,8 +14,11 @@ Core claims:
     - build_report("all") is pinned byte for byte in all four formats
       by sha256 digests
     - build_row runs the trace recursion once per row: a degree-n
-      minimal polynomial is taken as the characteristic polynomial, and
-      a row whose e_1 is cyclic mod 2 never reaches the Z certificate
+      minimal polynomial is taken as the characteristic polynomial; a
+      row with a start vector cyclic mod 2 never reaches the mod-P
+      search, and only a derogatory row reaches the Z certificate
+    - a row not squarefree over Q reads not squarefree mod 2 without a
+      second squarefree test; the other rows run both
     - the three distinct-eigenvalue methods return auditable
       certificates matching the worked instances
 """
@@ -31,11 +34,15 @@ import pytest
 
 from digraph_spectra import (
     FamilySpec,
+    IntPolynomial,
     build_digraph,
     build_family,
     build_report,
     distinctness_check,
+    gcd_over_q,
+    is_squarefree,
     parse_family_spec,
+    table_specs,
 )
 from digraph_spectra import spectra, verify
 from digraph_spectra.digraph import walk_row
@@ -205,12 +212,13 @@ def test_row_dict_matches_dataclasses_asdict_on_the_default_tables(default_repor
 
 def test_route_1_runs_once_per_row(monkeypatch):
     """One row per table: the trace recursion runs once per built row,
-    inside minimal_polynomial or from build_row, and the Z certificate
-    runs only on rows whose e_1 is not cyclic mod 2."""
+    inside minimal_polynomial or from build_row; the mod-P search runs
+    only on rows where no start vector is cyclic mod 2, and the Z
+    certificate only on derogatory rows."""
     rows = {
         "cdc": "family=DCn_i_nmi n=8",  # e_1 cyclic mod 2
-        "cdf": "family=ADF n=14",  # cyclic mod P only
-        "cdw": "family=ADW n=8",  # cyclic mod P only
+        "cdf": "family=ADF n=14",  # a seeded vector cyclic mod 2
+        "cdw": "family=ADW n=13",  # A mod 2 derogatory: mod P, non-derogatory
         "derived": "family=Zn_loop n=9 j=4",
         "complements": "family=UDWc n=9",  # derogatory
         "exponents": "family=DCc n=10",  # no minimal polynomial
@@ -228,18 +236,52 @@ def test_route_1_runs_once_per_row(monkeypatch):
     route_1 = counted("charpoly_exact", spectra.charpoly_exact)
     monkeypatch.setattr(spectra, "charpoly_exact", route_1)
     monkeypatch.setattr(verify, "charpoly_exact", route_1)
-    monkeypatch.setattr(spectra, "_annihilates", counted("_annihilates", spectra._annihilates))
+    for name in ("_minimal_polynomial_mod_p", "_annihilates"):
+        monkeypatch.setattr(spectra, name, counted(name, getattr(spectra, name)))
     kinds = set()
     for table, text in rows.items():
         spec = parse_family_spec(text)
-        cyclic_mod_2 = spectra._cyclic_mod_2(build_family(spec))
+        columns = spectra._columns_mod_2(build_family(spec))
+        e1_mod_2 = spectra._cyclic_mod_2(columns, 1)
         calls.clear()
         row = build_row(table, spec)
         assert row.skipped is None and calls["charpoly_exact"] == 1, text
-        if cyclic_mod_2:
+        mod_p = "_minimal_polynomial_mod_p" in calls
+        if table != "exponents":
+            assert mod_p is not any(
+                spectra._cyclic_mod_2(columns, u) for u in spectra._start_vectors_mod_2(spec.n)
+            ), text
+        if not mod_p:
             assert "_annihilates" not in calls, text
-        kinds.add((cyclic_mod_2, row.non_derogatory, "_annihilates" in calls))
-    assert {(True, True, False), (False, True, False), (False, False, True)} <= kinds
+        kinds.add((e1_mod_2, mod_p, row.non_derogatory, "_annihilates" in calls))
+    assert {
+        (True, False, True, False),
+        (False, False, True, False),
+        (False, True, True, False),
+        (False, True, False, True),
+    } <= kinds
+
+
+def test_squarefree_mod_2_is_tested_only_when_squarefree_over_q(monkeypatch):
+    fields = []
+
+    def counted(f, field="Q"):
+        fields.append(field)
+        return is_squarefree(f, field)
+
+    monkeypatch.setattr(verify, "is_squarefree", counted)
+    seen = set()
+    for table in ("cdw", "complements"):
+        for spec in table_specs(table, 5, 9):
+            del fields[:]
+            row = build_row(table, spec)
+            if row.skipped is not None:
+                continue
+            psi = IntPolynomial.parse(row.computed_charpoly)
+            assert row.squarefree_q is (gcd_over_q(psi, psi.derivative()).degree == 0)
+            assert fields == (["Q", "F2"] if row.squarefree_q else ["Q"]), row.spec
+            seen.add((row.squarefree_f2, row.squarefree_q))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_json_doc_equals_whole_document_dump():
