@@ -6,8 +6,11 @@ dominant-coefficient test: for monic x^n + a_1 x^(n-1) + ... + a_n,
 irreducibility follows when |a_1| > 1 + |a_2| + ... + |a_n| (one root
 swallows the others, so no proper factor can balance).  The form tests:
 all-negative weakly decreasing coefficients (form F), or an odd-degree
-alternating gap pattern (form G).  find_monic_factor() is the slow
-ground truth: a complete search for low-degree monic factors.
+alternating gap pattern (form G).  find_monic_factor() is the ground
+truth: a complete search for low-degree monic factors, exponential in
+the degree bound, that interpolates every divisor tuple of f's values
+from one Lagrange basis per degree and trial-divides only the
+candidates whose values divide f's at two further points.
 """
 
 from digraph_spectra import (

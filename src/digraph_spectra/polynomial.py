@@ -15,7 +15,9 @@ helpers used elsewhere in the package:
 * the dominant-coefficient irreducibility test and the two structured
   coefficient forms that certify irreducibility for monic polynomials,
 * a complete Kronecker interpolation search for monic integer factors up
-  to a requested degree, used as a brute-force cross-check.
+  to a requested degree, used as a brute-force cross-check: one integer
+  Lagrange basis per degree, and divisibility filters at two further
+  points before trial division.
 
 Text format: descending powers with explicit signs, e.g.
 ``x^8 - x^5 - x^3 - x - 1``; JSON form is the coefficient list, constant
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from enum import Enum
 from functools import lru_cache
@@ -193,10 +196,7 @@ class IntPolynomial:
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs) if i > 0])
 
     def __call__(self, point: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        return _evaluate(self.coeffs, point)
 
     def substitute_linear(self, a: int, b: int) -> "IntPolynomial":
         """Return p(a*x + b), composition with a linear polynomial."""
@@ -337,6 +337,14 @@ class IntPolynomial:
     def to_coeff_list(self) -> list[int]:
         """JSON form: coefficient list, constant term first."""
         return list(self.coeffs)
+
+
+def _evaluate(coeffs, point: int) -> int:
+    """Horner evaluation of a coefficient sequence, constant term first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * point + c
+    return acc
 
 
 def _coerce(value) -> IntPolynomial | None:
@@ -481,12 +489,18 @@ def gcd_over_f2(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     b = _mod2_bits(g)
     if a == 0 and b == 0:
         raise BothZeroMod2("both polynomials vanish mod 2")
+    return _bits_to_poly(gcd_mod_2_bits(a, b))
+
+
+def gcd_mod_2_bits(a: int, b: int) -> int:
+    """gcd over F2 of two polynomials given as bitmasks (bit k the
+    coefficient of x^k), by Euclid on the bitmasks."""
     while b:
         # Reduce a mod b by xor-shifting off leading bits.
         while a.bit_length() >= b.bit_length() and a:
             a ^= b << (a.bit_length() - b.bit_length())
         a, b = b, a
-    return _bits_to_poly(a)
+    return a
 
 
 def is_squarefree(f: IntPolynomial, field: str = "Q") -> bool:
@@ -599,11 +613,26 @@ def find_monic_factor(f: IntPolynomial, max_degree: int) -> IntPolynomial | None
     """Search exhaustively for a monic factor g of f with
     1 <= deg g <= max_degree; returns one if it exists, else None.
 
-    A monic candidate of degree d is pinned by its values at d points,
-    and each value must divide f there, so the search interpolates every
-    divisor tuple and trial-divides the integral candidates.  Complete:
-    if f has a monic factor of degree <= max_degree, it is found.
-    """
+    A monic candidate of degree d is pinned by its values at the d
+    points of :func:`_interp_points`, and each value must divide f
+    there, so the search walks every tuple of signed divisors, degree by
+    degree, each tuple in ``itertools.product`` order, and returns the
+    first candidate that divides f.  Complete: if f has a monic factor
+    of degree <= max_degree, one is found.
+
+    The integer Lagrange basis of the points is built once per degree:
+    D g = D N + sum_i g(t_i) W_i, with N the product of the x - t_i and
+    W_i = D L_i integral, so a tuple costs dot products, not an
+    interpolation.  Before any trial division a candidate must pass
+    conditions that every monic factor of f meets: at two further points
+    t' where f(t') != 0, g(t') is an integer, nonzero and a divisor of
+    f(t') (g | f in Z[x] gives g(t') | f(t'), and g(t') = 0 would make
+    f(t') = 0); then all of g's coefficients must be integers.  So the
+    filters drop only tuples that trial division would reject, the walk
+    order is unchanged, and the first survivor that divides f is the
+    factor the plain search, dividing every integral candidate, finds.
+    Survivors are divided on coefficient lists; only the returned factor
+    becomes an :class:`IntPolynomial`."""
     if f.is_zero:
         raise ValueError("factor search needs a nonzero polynomial")
     for d in range(1, max_degree + 1):
@@ -612,27 +641,39 @@ def find_monic_factor(f: IntPolynomial, max_degree: int) -> IntPolynomial | None
         for t, v in zip(points, values):
             if v == 0:
                 return IntPolynomial((-t, 1))
-        choice_lists = [_divisors_signed(v) for v in values]
-        for combo in itertools.product(*choice_lists):
-            # Interpolate h of degree < d with g = x^d + h matching combo.
-            targets = [val - t**d for t, val in zip(points, combo)]
-            h = _lagrange(points, targets)
-            if h is None:
-                continue
-            g = IntPolynomial.monomial(d) + h
-            if f.is_divisible_by(g):
-                return g
+        rows, common = _lagrange_basis(points)
+        node = [1]  # N, times x - t for each point t
+        for t in points:
+            node = [a - t * b for a, b in zip([0] + node, node + [0])]
+        # two further points where f is nonzero (f has at most deg f
+        # roots), each as f(t'), D N(t') and the W_i(t')
+        extra = itertools.islice((t for t in _interp_points(d + 2 + f.degree)[d:] if f(t)), 2)
+        checks = [
+            (f(t), common * _evaluate(node, t), [_evaluate(row, t) for row in rows])
+            for t in extra
+        ]
+        offsets = [common * c for c in node[:-1]]
+        columns = list(zip(*rows))
+        for combo in itertools.product(*map(_divisors_signed, values)):
+            for value, offset, weights in checks:
+                scaled = offset + sum(map(operator.mul, combo, weights))
+                if scaled % common or not scaled or value % (scaled // common):
+                    break
+            else:
+                h = [c + sum(map(operator.mul, combo, col)) for c, col in zip(offsets, columns)]
+                if not any(c % common for c in h):
+                    g = [c // common for c in h] + [1]
+                    if _monic_divides(f.coeffs, g):
+                        return IntPolynomial(g)
     return None
 
 
-def _lagrange(points: list[int], values: list[int]) -> IntPolynomial | None:
-    """Interpolating polynomial through (points, values) if it has
-    integer coefficients, else None.
-
-    Each Lagrange term is scaled to the common denominator D (the lcm of
-    the basis denominators), so D times the interpolant is summed in
-    integers and is integral after division exactly when D divides every
-    coefficient."""
+def _lagrange_basis(points: list[int]) -> tuple[list[list[int]], int]:
+    """The Lagrange basis of ``points`` in integers: rows W_i and the
+    common denominator D with W_i = D L_i, where L_i is 1 at points[i]
+    and 0 at the other points, coefficients constant term first.  D is
+    the lcm of the basis denominators |prod_(j != i) (t_i - t_j)|, so
+    sum_i y_i W_i is D times the interpolant of the values y_i."""
     terms = []
     for i, xi in enumerate(points):
         basis = [1]
@@ -648,13 +689,18 @@ def _lagrange(points: list[int], values: list[int]) -> IntPolynomial | None:
             denom *= xi - xj
         terms.append((basis, denom))
     common = math.lcm(*(abs(denom) for _, denom in terms))
-    acc = [0] * len(points)
-    for (basis, denom), yi in zip(terms, values):
-        if yi == 0:
-            continue
-        scale = yi * (common // denom)
-        for k, c in enumerate(basis):
-            acc[k] += c * scale
-    if any(c % common for c in acc):
-        return None
-    return IntPolynomial(c // common for c in acc)
+    return [[c * (common // denom) for c in basis] for basis, denom in terms], common
+
+
+def _monic_divides(coeffs: tuple[int, ...], g: list[int]) -> bool:
+    """Whether the monic g divides the polynomial with coefficients
+    ``coeffs`` (both constant term first), by long division."""
+    rem = list(coeffs)
+    d = len(g) - 1
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            base = i - d
+            for j in range(d):
+                rem[base + j] -= c * g[j]
+    return not any(rem[:d])

@@ -21,8 +21,15 @@ Core claims:
       plain primitive PRS on family polynomials with n <= 14
     - Perron dominance and Brauer form classification match the
       worked instances; true Perron verdicts are cross-checked by the
-      complete monic-factor search for degree <= 6, whose integer
-      interpolation agrees with rational interpolation
+      complete monic-factor search for degree <= 6, whose hoisted
+      integer Lagrange basis agrees with rational interpolation
+    - the monic-factor search, with its per-degree basis and its
+      divisibility filters, returns the same factor or None as the
+      original per-candidate interpolation and trial division (kept
+      here as the reference) on the 34 certify-cold benchmark searches,
+      3000 seeded polynomials (a third of them products of two factors
+      of equal degree, where the search order decides) and every
+      family characteristic polynomial with n <= 14, k <= 3
     - against sympy's factor_list, on a seeded sweep of monic
       polynomials of degree <= 8 and every family characteristic
       polynomial with n <= 14: the monic-factor search finds a factor of
@@ -33,6 +40,9 @@ Core claims:
       kept as a strict xfail.
 """
 
+import functools
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -67,7 +77,7 @@ from digraph_spectra.families import DEFAULT_RANGES
 from digraph_spectra.polynomial import (
     MINPOLY_PRIME as P,
     _interp_points,
-    _lagrange,
+    _lagrange_basis,
     _unit_gcd_mod_p,
 )
 
@@ -649,6 +659,123 @@ def _fraction_lagrange(points, values):
     return IntPolynomial(int(c) for c in acc)
 
 
+def _hoisted_interpolant(points, values):
+    """The interpolant through (points, values) from the hoisted integer
+    basis, None unless it has integer coefficients."""
+    rows, common = _lagrange_basis(points)
+    acc = [sum(y * row[k] for y, row in zip(values, rows)) for k in range(len(points))]
+    if any(c % common for c in acc):
+        return None
+    return IntPolynomial(c // common for c in acc)
+
+
+def _reference_lagrange(points, values):
+    """The per-candidate interpolation of the original search: Lagrange
+    terms scaled to the lcm of the basis denominators, None unless
+    integral."""
+    terms = []
+    for i, xi in enumerate(points):
+        basis = [1]
+        denom = 1
+        for j, xj in enumerate(points):
+            if j == i:
+                continue
+            new = [0] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                new[k] -= c * xj
+                new[k + 1] += c
+            basis = new
+            denom *= xi - xj
+        terms.append((basis, denom))
+    common = math.lcm(*(abs(denom) for _, denom in terms))
+    acc = [0] * len(points)
+    for (basis, denom), yi in zip(terms, values):
+        if yi == 0:
+            continue
+        scale = yi * (common // denom)
+        for k, c in enumerate(basis):
+            acc[k] += c * scale
+    if any(c % common for c in acc):
+        return None
+    return IntPolynomial(c // common for c in acc)
+
+
+def _reference_find_monic_factor(f, max_degree):
+    """The original exhaustive search: interpolate every divisor tuple
+    and trial-divide each integral candidate with ``is_divisible_by``."""
+    for d in range(1, max_degree + 1):
+        points = _interp_points(d)
+        values = [f(t) for t in points]
+        for t, v in zip(points, values):
+            if v == 0:
+                return IntPolynomial((-t, 1))
+        choice_lists = [polynomial._divisors_signed(v) for v in values]
+        for combo in itertools.product(*choice_lists):
+            targets = [val - t**d for t, val in zip(points, combo)]
+            h = _reference_lagrange(points, targets)
+            if h is None:
+                continue
+            g = IntPolynomial.monomial(d) + h
+            if f.is_divisible_by(g):
+                return g
+    return None
+
+
+def _certify_cold_searches():
+    """(psi, k) for the factor searches of the ``certify-cold`` benchmark
+    workload: the characteristic polynomials of degree <= 6 of its
+    Perron items (Xn_loops m = n+1, n+2) and Brauer items (PDF and
+    Xn_loops m = 2..n+2), n = 3..14, searched to k = min(3, deg - 1)."""
+    specs = []
+    for n in range(3, 15):
+        specs += [f"family=Xn_loops n={n} m={m}" for m in (n + 1, n + 2)]
+    for n in range(3, 15):
+        specs += [f"family=PDF n={n}"] + [f"family=Xn_loops n={n} m={m}" for m in range(2, n + 3)]
+    polys = [charpoly_exact(build_family(parse_family_spec(text))) for text in specs]
+    return [(psi, min(3, psi.degree - 1)) for psi in polys if psi.degree <= 6]
+
+
+def _seeded_searches():
+    """3000 seeded (f, k, pair), k <= 3.  Every third f is a product a b
+    of two distinct random monic factors of equal degree 1..3, half the
+    time times one more small factor, with pair = {a, b}; the others are
+    random polynomials of degree 0..6 with coefficients in -3..3, half
+    of them with a leading coefficient drawn from -2, -1, 1, 2, 3, pair
+    empty."""
+    rng = random.Random(3030)
+    out = []
+    while len(out) < 3000:
+        index = len(out)
+        pair = set()
+        if index % 3 == 0:
+            degree = rng.randint(1, 3)
+            a, b = _random_monic(rng, degree), _random_monic(rng, degree)
+            if a == b:
+                continue
+            f = a * b
+            if rng.random() < 0.5:
+                f = f * _random_monic(rng, rng.randint(1, 2))
+            pair = {a, b}
+        else:
+            lead = 1 if index % 3 == 1 else rng.choice((-2, -1, 1, 2, 3))
+            f = IntPolynomial([rng.randint(-3, 3) for _ in range(rng.randint(0, 6))] + [lead])
+        out.append((f, rng.randint(1, 3), pair))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _family_charpolys():
+    """Every distinct family characteristic polynomial with n <= 14."""
+    family = {}
+    for table in TABLE_NAMES:
+        for spec in table_specs(table, 1, 14):
+            try:
+                family[str(spec)] = charpoly_exact(build_family(spec))
+            except InvalidParameter:
+                continue
+    return tuple({str(f): f for f in family.values()}.values())
+
+
 class TestFactorSearch:
     def test_integer_interpolation_matches_rational(self):
         rng = random.Random(77)
@@ -656,10 +783,40 @@ class TestFactorSearch:
         for _ in range(300):
             points = _interp_points(rng.randint(1, 4))
             values = [rng.randint(-12, 12) for _ in points]
+            rows, common = _lagrange_basis(points)
+            for i, row in enumerate(rows):
+                at = [IntPolynomial(row)(t) for t in points]
+                assert at == [common * (i == j) for j in range(len(points))], points
             expected = _fraction_lagrange(points, values)
-            assert _lagrange(points, values) == expected, (points, values)
+            assert _hoisted_interpolant(points, values) == expected, (points, values)
+            assert _reference_lagrange(points, values) == expected, (points, values)
             found += expected is not None
         assert 0 < found < 300
+
+    def test_same_factor_as_reference_on_certify_cold_searches(self):
+        searches = _certify_cold_searches()
+        assert len(searches) == 34
+        for f, k in searches:
+            assert find_monic_factor(f, k) == _reference_find_monic_factor(f, k), (str(f), k)
+
+    def test_same_factor_as_reference_on_seeded_polynomials(self):
+        found = ordered = 0
+        for f, k, pair in _seeded_searches():
+            g = _reference_find_monic_factor(f, k)
+            assert find_monic_factor(f, k) == g, (str(f), k)
+            found += g is not None
+            # a and b both divide f, so the search order picked g
+            ordered += g in pair
+        assert found > 1000 and ordered > 100
+
+    def test_same_factor_as_reference_on_family_charpolys(self):
+        found = 0
+        for f in _family_charpolys():
+            for k in range(1, 4):
+                g = _reference_find_monic_factor(f, k)
+                assert find_monic_factor(f, k) == g, (str(f), k)
+                found += g is not None
+        assert found > 300
 
     def test_finds_linear_factor(self):
         f = _poly(-2, 1, -2, 1)  # (x-2)(x^2+1)
@@ -693,8 +850,9 @@ def _oracle_sweep():
     polynomials of degree 2..8, a quarter each products of small
     factors, plain random, Perron-dominant and Brauer form F, searched
     up to deg f // 2; then every distinct family characteristic
-    polynomial with n <= 14, searched up to degree 2 (degree 3 and 4
-    searches there take seconds)."""
+    polynomial with n <= 14, searched up to degree min(deg f // 2, 3)
+    (about 0.12 s of search; degree 4 there takes about 0.3 s, degree 5
+    a few seconds)."""
     rng = random.Random(2024)
     polys = []
     for index in range(160):
@@ -713,15 +871,7 @@ def _oracle_sweep():
             a = sorted((rng.randint(1, 4) for _ in range(degree)), reverse=True)
             f = IntPolynomial([-v for v in reversed(a)] + [1])
         polys.append((f, f.degree // 2))
-    family = {}
-    for table in TABLE_NAMES:
-        for spec in table_specs(table, 1, 14):
-            try:
-                family[str(spec)] = charpoly_exact(build_family(spec))
-            except InvalidParameter:
-                continue
-    distinct = {str(f): f for f in family.values()}.values()
-    return polys + [(f, min(f.degree // 2, 2)) for f in distinct]
+    return polys + [(f, min(f.degree // 2, 3)) for f in _family_charpolys()]
 
 
 @pytest.fixture(scope="module")
