@@ -489,18 +489,12 @@ def gcd_over_f2(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     b = _mod2_bits(g)
     if a == 0 and b == 0:
         raise BothZeroMod2("both polynomials vanish mod 2")
-    return _bits_to_poly(gcd_mod_2_bits(a, b))
-
-
-def gcd_mod_2_bits(a: int, b: int) -> int:
-    """gcd over F2 of two polynomials given as bitmasks (bit k the
-    coefficient of x^k), by Euclid on the bitmasks."""
     while b:
         # Reduce a mod b by xor-shifting off leading bits.
         while a.bit_length() >= b.bit_length() and a:
             a ^= b << (a.bit_length() - b.bit_length())
         a, b = b, a
-    return a
+    return _bits_to_poly(a)
 
 
 def is_squarefree(f: IntPolynomial, field: str = "Q") -> bool:

@@ -28,11 +28,10 @@ The minimal polynomial comes from Krylov sequences in two tiers.  The
 first works mod 2 on bitmasks, from e_1 and then up to n seeded 0/1
 start vectors u: when u, A u, ..., A^(n-1) u are independent mod 2, u
 is a cyclic vector over Q and the minimal polynomial is the
-characteristic polynomial.  Only a digraph whose A mod 2 is derogatory
-gets past this tier, and it stops early once the Krylov spaces of the
-missed vectors span F2^n and the lcm of their minimal polynomials mod 2
-has degree below n.  Otherwise the minimal polynomial is the lcm of
-the Krylov minimal polynomials of seeded small-integer start vectors
+characteristic polynomial.  Every vector misses, after n + 1 passes,
+when A mod 2 is derogatory; a digraph that all of them miss goes on to
+the second tier, where the minimal polynomial is the lcm of the Krylov
+minimal polynomials of seeded small-integer start vectors
 modulo the prime P = 2^61 - 1, each read off one elimination by
 back-substitution, while one echelon basis mod P tracks the joint rank
 of their Krylov spaces; each Krylov step is one ``Digraph.times``.  The
@@ -57,7 +56,7 @@ import random
 from dataclasses import dataclass
 
 from .digraph import Digraph
-from .polynomial import MINPOLY_PRIME, ExactnessCheckFailed, IntPolynomial, gcd_mod_2_bits
+from .polynomial import MINPOLY_PRIME, ExactnessCheckFailed, IntPolynomial
 
 DEFAULT_ENUMERATION_CAP = 12
 CAP_ENV_VAR = "DIGRAPH_SPECTRA_CAP"
@@ -316,8 +315,8 @@ def minimal_polynomial(d: Digraph) -> IntPolynomial:
     2, the integer Krylov matrix has an odd, hence nonzero, determinant,
     so u is a cyclic vector over Q and the minimal polynomial is the
     characteristic polynomial.  No u passes when A mod 2 is itself
-    derogatory, and :func:`_some_cyclic_mod_2` stops as soon as the
-    missed vectors prove that.
+    derogatory, so such a digraph costs n + 1 passes mod 2 before the
+    second tier.
 
     Second tier, mod P = ``MINPOLY_PRIME``: Krylov sequences of start
     vectors u (Wiedemann 1986), seeded ones with entries in -3..3 first.
@@ -372,69 +371,20 @@ def _columns_mod_2(d: Digraph) -> list[int]:
 
 
 def _start_vectors_mod_2(n: int):
-    """The GF(2) tier's start vectors as bitmasks: e_1, then n seeded
-    0/1 vectors."""
-    yield 1
+    """The GF(2) tier's seeded 0/1 start vectors as bitmasks, n of
+    them."""
     rng = random.Random(KRYLOV_SEED)
     for _ in range(n):
         yield rng.getrandbits(n)
 
 
 def _some_cyclic_mod_2(columns: list[int]) -> bool:
-    """Whether one of the GF(2) tier's start vectors is cyclic mod 2.
-
-    e_1 is tried first by :func:`_cyclic_mod_2` alone, so a row with a
-    cyclic e_1 does no other work.  After that miss the start vectors,
-    e_1 again first, go through :func:`_krylov_mod_2`, which also gives
-    each one's Krylov minimal polynomial mod 2 and a basis of its Krylov
-    space.  Once the missed vectors' Krylov spaces span F2^n, the lcm
-    of their minimal polynomials is A's minimal polynomial mod 2 (it
-    annihilates every vector of the span, and each of them divides
-    A's); below degree n, A mod 2 is derogatory, no vector is cyclic mod
-    2, and the tier stops.  Once the lcm reaches degree n, A mod 2 is
-    not derogatory, and the remaining vectors are tried by
-    :func:`_cyclic_mod_2` alone."""
-    n = len(columns)
+    """Whether e_1 or one of the n seeded 0/1 vectors of
+    :func:`_start_vectors_mod_2` is cyclic mod 2, tried in that order up
+    to the first that passes."""
     if _cyclic_mod_2(columns, 1):
         return True
-    joint: dict[int, int] = {}  # leading bit -> row, spanning the missed Krylov spaces
-    lcm = 1
-    for u in _start_vectors_mod_2(n):
-        if lcm.bit_length() > n:
-            if _cyclic_mod_2(columns, u):
-                return True
-            continue
-        minpoly, krylov = _krylov_mod_2(columns, u)
-        if minpoly.bit_length() > n:
-            return True
-        lcm = _lcm_mod_2(lcm, minpoly)
-        for x in krylov:
-            while x:
-                top = x.bit_length() - 1
-                if top not in joint:
-                    joint[top] = x
-                    break
-                x ^= joint[top]
-        if len(joint) == n and lcm.bit_length() <= n:
-            return False
-    return False
-
-
-def _lcm_mod_2(a: int, b: int) -> int:
-    """lcm over F2 of two nonzero polynomials given as bitmasks (bit k
-    the coefficient of x^k): a / gcd(a, b) times b."""
-    g = gcd_mod_2_bits(a, b)
-    quotient = 0
-    while a:  # exact division by XOR-shifting off leading bits
-        shift = a.bit_length() - g.bit_length()
-        quotient |= 1 << shift
-        a ^= g << shift
-    product = 0
-    while quotient:  # carry-less product: b shifted to each set bit
-        low = quotient & -quotient
-        product ^= b * low
-        quotient ^= low
-    return product
+    return any(_cyclic_mod_2(columns, u) for u in _start_vectors_mod_2(len(columns)))
 
 
 def _cyclic_mod_2(columns: list[int], u: int) -> bool:
@@ -467,40 +417,6 @@ def _cyclic_mod_2(columns: list[int], u: int) -> bool:
                 v ^= low
             v = acc
     return True
-
-
-def _krylov_mod_2(columns: list[int], u: int) -> tuple[int, list[int]]:
-    """u's Krylov minimal polynomial mod 2 as a bitmask (bit k the
-    coefficient of x^k; degree n exactly when u is cyclic mod 2) and a
-    basis of u's Krylov space mod 2.
-
-    A^k u enters the elimination as A^k u << (n + 1) | 1 << k, so the
-    low n + 1 bits of a row record which Krylov vectors it combines;
-    the first A^k u whose high part reduces to zero leaves the first
-    dependence, the minimal polynomial, in its low bits."""
-    n = len(columns)
-    shift = n + 1
-    high = 1 << shift
-    basis: dict[int, int] = {}  # leading bit -> basis row
-    v = u
-    k = 0
-    while True:
-        x = v << shift | 1 << k
-        while x >= high:
-            top = x.bit_length() - 1
-            if top not in basis:
-                basis[top] = x
-                break
-            x ^= basis[top]
-        else:
-            return x, [row >> shift for row in basis.values()]
-        acc = 0
-        while v:
-            low = v & -v
-            acc ^= columns[low.bit_length() - 1]
-            v ^= low
-        v = acc
-        k += 1
 
 
 KRYLOV_SEED = 1986  # seeds the start vectors of the GF(2) tier and the mod-P search

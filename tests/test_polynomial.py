@@ -38,6 +38,11 @@ Core claims:
       term, imply irreducibility.  Perron dominance with a zero constant
       term (x^2 + 2x, the Zn_loop j=2 rows) is a known wrong verdict,
       kept as a strict xfail.
+    - against sympy's cyclotomic_poly, cyclotomic(d) from a cold cache
+      for d = 1..150; against factor_list, the cyclotomic distinctness
+      certificate's indices on the 12 odd alternating wheels (ADW and
+      RADW, n = 5..15) are those of the charpoly's cyclotomic factors,
+      each of multiplicity 1
 """
 
 import functools
@@ -62,6 +67,7 @@ from digraph_spectra import (
     build_family,
     charpoly_exact,
     cyclotomic,
+    distinctness_check,
     find_monic_factor,
     gcd_over_f2,
     gcd_over_q,
@@ -935,3 +941,52 @@ class TestIrreducibilityOracle:
         assert dominant
         for f, degrees in dominant:
             assert _irreducible(f, degrees), str(f)
+
+
+def _sympy_coeffs(poly):
+    """Constant-first integer coefficients of a sympy Poly."""
+    return [int(c) for c in reversed(poly.all_coeffs())]
+
+
+class TestCyclotomicOracle:
+    """cyclotomic and the cyclotomic distinctness certificate against
+    sympy's cyclotomic_poly and factor_list."""
+
+    def test_cyclotomic_matches_sympy_from_a_cold_cache(self):
+        sp = pytest.importorskip("sympy")
+        x = sp.Symbol("x")
+        cyclotomic.cache_clear()
+        for d in range(1, 151):
+            expected = IntPolynomial(_sympy_coeffs(sp.cyclotomic_poly(d, x, polys=True)))
+            assert cyclotomic(d) == expected, d
+
+    def test_wheel_indices_match_factor_list(self):
+        """On the odd alternating wheels n = 5..15 of the certify-cold
+        benchmark workload, the certificate's cyclotomic indices are
+        those of the cyclotomic factors in sympy's factorization of the
+        characteristic polynomial, each of multiplicity 1.  A factor of
+        degree e is compared only with Phi_d for phi(d) = e, and
+        phi(d) >= sqrt(d / 2) bounds those d by 2 e^2."""
+        sp = pytest.importorskip("sympy")
+        x = sp.Symbol("x")
+        cyclotomic.cache_clear()
+        checked = 0
+        for family in ("ADW", "RADW"):
+            for n in range(5, 16, 2):
+                spec = parse_family_spec(f"family={family} n={n}")
+                psi = charpoly_exact(build_family(spec))
+                _, factors = sp.Poly(list(reversed(psi.coeffs)), x).factor_list()
+                indices = []
+                for g, multiplicity in factors:
+                    coeffs = _sympy_coeffs(g)
+                    e = len(coeffs) - 1
+                    for d in range(1, 2 * e * e + 1):
+                        if sp.totient(d) != e:
+                            continue
+                        if coeffs == _sympy_coeffs(sp.cyclotomic_poly(d, x, polys=True)):
+                            assert multiplicity == 1, (spec.to_text(), d)
+                            indices.append(d)
+                cert = distinctness_check(spec, "cyclotomic")
+                assert cert["cyclotomic_indices"] == sorted(indices), spec.to_text()
+                checked += 1
+        assert checked == 12

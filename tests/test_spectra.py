@@ -49,14 +49,14 @@ Core claims:
       digraphs with even and odd loop multiplicities (rank n - 1 cases
       included); no start vector passes on a derogatory digraph, and the
       mod-P search runs on exactly 10 of the 458 deep default rows
-    - the GF(2) tier's bookkeeping pass gives each missed vector's Krylov
-      minimal polynomial mod 2 (Gauss-Jordan degree, annihilates u) and
-      Krylov basis, the lcm mod 2 has the gcd's degree deficit and is a
-      multiple of both inputs; the tier stops before its last start
-      vector only on digraphs whose A mod 2 is derogatory by a
-      Gauss-Jordan rank of I, A, ..., A^n mod 2 (over 80 of them in the
-      sweeps), runs 33 passes, not 103, on the 10 default rows that
-      reach the mod-P search, and one plain pass on a cyclic e_1
+    - the GF(2) tier tries e_1 and then the n seeded vectors, stops at
+      the first one of Gauss-Jordan Krylov rank n mod 2 and says whether
+      there is one; it returns False after exactly n + 1 passes on the
+      digraphs whose A mod 2 is derogatory by a Gauss-Jordan rank of I,
+      A, ..., A^n mod 2 (over 100 of them in the sweeps); on the deep
+      default rows it takes one pass on each of the 414 with a cyclic
+      e_1, stops at the first passing seeded vector on 34, and takes
+      n + 1 passes, 103 in all, on the 10 that reach the mod-P search
     - a cyclic e_1 or seeded vector mod 2 skips the mod-P search and
       returns the characteristic polynomial; a cyclic first start vector
       mod P ends the search after one vector, with no check over Z; the
@@ -98,7 +98,6 @@ from digraph_spectra import (
     charpoly_ldsg,
     complement,
     enumerate_ldsgs,
-    gcd_over_f2,
     is_non_derogatory,
     is_squarefree,
     minimal_polynomial,
@@ -946,12 +945,18 @@ def _e1_cyclic_mod_2(d):
     return spectra._cyclic_mod_2(spectra._columns_mod_2(d), 1)
 
 
+def _vectors_mod_2(d):
+    """The GF(2) tier's start vectors as bitmasks: e_1, then the n
+    seeded ones."""
+    return [1, *spectra._start_vectors_mod_2(d.n)]
+
+
 def _tried_mod_2(d):
     """The GF(2) tier's start vectors as bitmasks, e_1 first, up to the
     first one it accepts, each with the tier's verdict."""
     columns = spectra._columns_mod_2(d)
     tried = []
-    for u in spectra._start_vectors_mod_2(d.n):
+    for u in _vectors_mod_2(d):
         tried.append((u, spectra._cyclic_mod_2(columns, u)))
         if tried[-1][1]:
             break
@@ -966,12 +971,6 @@ def _recording(log, fn):
         return fn(*args)
 
     return wrapper
-
-
-def _bits_poly(bits):
-    """The polynomial over F2 with bit k of ``bits`` as the coefficient
-    of x^k."""
-    return IntPolynomial((bits >> k) & 1 for k in range(bits.bit_length()))
 
 
 def _deep_default_rows():
@@ -1056,83 +1055,60 @@ class TestCyclicMod2:
         assert _e1_cyclic_mod_2(build_digraph(1, [(1, 1, 2)]))
         assert _e1_cyclic_mod_2(build_digraph(1, []))
 
-
-    def test_krylov_minimal_polynomial_mod_2(self):
-        """The bookkeeping pass gives u's Krylov minimal polynomial mod
-        2, of the Gauss-Jordan Krylov rank and annihilating u, and a
-        basis of u's Krylov space; degree n exactly when u is cyclic."""
-        graphs = [graph for _, graph in _family_sweep(7)] + list(_loop_parity_digraphs())
-        for d in graphs:
-            a = d.adjacency_matrix()
-            columns = spectra._columns_mod_2(d)
-            for u in list(spectra._start_vectors_mod_2(d.n))[:3]:
-                minpoly, krylov = spectra._krylov_mod_2(columns, u)
-                rank = _krylov_rank_mod_2(d, u)
-                assert minpoly.bit_length() - 1 == rank == len(krylov), (d.arcs, u)
-                assert _rank_mod_2([[(x >> i) & 1 for i in range(d.n)] for x in krylov]) == rank
-                vec = [(u >> i) & 1 for i in range(d.n)]
-                r = [0] * d.n  # minpoly(A) u mod 2, by Horner steps r <- A r + c u
-                for k in range(rank, -1, -1):
-                    c = minpoly >> k & 1
-                    r = [(sum(map(int.__mul__, row, r)) + c * y) % 2 for row, y in zip(a, vec)]
-                assert not any(r), (d.arcs, u)
-                assert (rank == d.n) is spectra._cyclic_mod_2(columns, u), (d.arcs, u)
-
-    def test_lcm_mod_2(self):
-        rng = random.Random(515)
-        for _ in range(300):
-            a, b = rng.randint(1, 2**9), rng.randint(1, 2**9)
-            pa, pb, pl = (_bits_poly(x) for x in (a, b, spectra._lcm_mod_2(a, b)))
-            gcd = gcd_over_f2(pa, pb)
-            assert pl.degree == pa.degree + pb.degree - gcd.degree, (a, b)
-            for factor in (pa, pb):
-                assert gcd_over_f2(pl, factor) == factor, (a, b)
-
-    def test_early_stop_only_on_derogatory_mod_2(self, monkeypatch):
-        """The tier gives up before its last start vector only when A mod
-        2 is derogatory by a Gauss-Jordan rank of I, A, ..., A^n mod 2,
-        and then always does."""
-        tried = []
-        for name in ("_cyclic_mod_2", "_krylov_mod_2"):
-            monkeypatch.setattr(spectra, name, _recording(tried, getattr(spectra, name)))
-        early = derogatory = 0
+    def test_plain_loop_matches_gauss_jordan_ranks(self, monkeypatch):
+        """The tier tries e_1 and then the n seeded vectors, up to the
+        first whose Gauss-Jordan Krylov rank mod 2 is n, and says
+        whether there is one; where A mod 2 is derogatory by a
+        Gauss-Jordan rank of I, A, ..., A^n mod 2 it returns False after
+        exactly n + 1 passes."""
+        passes = []
+        monkeypatch.setattr(spectra, "_cyclic_mod_2", _recording(passes, spectra._cyclic_mod_2))
+        derogatory = 0
         for d in [graph for _, graph in _family_sweep(9)] + list(_loop_parity_digraphs()):
-            del tried[:]
+            vectors = _vectors_mod_2(d)
+            first = next(
+                (k for k, u in enumerate(vectors) if _krylov_rank_mod_2(d, u) == d.n), None
+            )
+            del passes[:]
             cyclic = spectra._some_cyclic_mod_2(spectra._columns_mod_2(d))
-            vectors = list(spectra._start_vectors_mod_2(d.n))
-            assert tried[0][1] == 1 and {u for _, u in tried} <= set(vectors), d.arcs
-            # a full miss runs e_1's plain pass and then all n + 1 vectors
-            stopped_early = not cyclic and len(tried) < d.n + 2
+            assert cyclic is (first is not None), d.arcs
+            tried = len(vectors) if first is None else first + 1
+            assert [u for _, u in passes] == vectors[:tried], d.arcs
             if _minimal_polynomial_degree_mod_2(d) < d.n:
-                assert not cyclic, d.arcs
+                assert not cyclic and len(passes) == d.n + 1, d.arcs
                 derogatory += 1
-            else:
-                assert not stopped_early, d.arcs
-            early += stopped_early
-        assert early > 80 and derogatory > 100
+        assert derogatory > 100
 
-    def test_derogatory_default_rows_stop_within_a_few_vectors(self, monkeypatch):
-        """The 10 default rows that reach the mod-P search run 33 passes
-        mod 2 between them (e_1 twice, then 1-3 more start vectors), not
-        103 (n + 1 start vectors each); a row with a cyclic e_1 runs only
-        that one plain pass."""
-        calls = []
-        for name in ("_cyclic_mod_2", "_krylov_mod_2"):
-            monkeypatch.setattr(spectra, name, _recording(calls, getattr(spectra, name)))
-        passes = {}
-        cyclic_e1 = 0
+    def test_pass_counts_on_the_deep_default_rows(self, monkeypatch):
+        """A cyclic e_1 takes one pass mod 2 (414 rows), a seeded vector
+        stops the tier at the first that passes by Gauss-Jordan (34
+        rows), and the 10 rows that reach the mod-P search take n + 1
+        passes each, 103 in all."""
+        passes = []
+        monkeypatch.setattr(spectra, "_cyclic_mod_2", _recording(passes, spectra._cyclic_mod_2))
+        cyclic_e1 = seeded = 0
+        derogatory = {}
         for _, spec, graph in _deep_default_rows():
-            del calls[:]
-            if not spectra._some_cyclic_mod_2(spectra._columns_mod_2(graph)):
-                passes[spec.to_text()] = len(calls)
-            cyclic_e1 += [name for name, _ in calls] == ["_cyclic_mod_2"]
-        assert cyclic_e1 == 414
-        assert passes == {
-            "family=ADW n=5": 4,
-            "family=ADW n=13": 5,
-            **{f"family=UDWc n={n}": 3 for n in (5, 7, 9, 11, 13)},
-            **{f"family=DCc n={n}": 3 for n in (6, 10, 14)},
+            del passes[:]
+            cyclic = spectra._some_cyclic_mod_2(spectra._columns_mod_2(graph))
+            if len(passes) == 1 and cyclic:
+                cyclic_e1 += 1
+            elif cyclic:
+                vectors = _vectors_mod_2(graph)
+                first = next(
+                    k for k, u in enumerate(vectors) if _krylov_rank_mod_2(graph, u) == graph.n
+                )
+                assert len(passes) == first + 1 > 1, spec.to_text()
+                seeded += 1
+            else:
+                derogatory[spec.to_text()] = len(passes)
+        assert (cyclic_e1, seeded) == (414, 34)
+        assert derogatory == {
+            **{f"family=ADW n={n}": n + 1 for n in (5, 13)},
+            **{f"family=UDWc n={n}": n + 1 for n in (5, 7, 9, 11, 13)},
+            **{f"family=DCc n={n}": n + 1 for n in (6, 10, 14)},
         }
+        assert sum(derogatory.values()) == 103
 
 
 class TestCyclicVectorShortcut:
