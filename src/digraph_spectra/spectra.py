@@ -13,16 +13,18 @@ Two independent routes to the characteristic polynomial:
 * :func:`charpoly_ldsg` computes the signed sum over linear directed
   subgraphs (collections of vertex-disjoint directed cycles, signed by
   component count and weighted by loop multiplicities) as Mahajan and
-  Vinay's clow-sequence sum: a dynamic programme over closed walks
-  through the successor table, polynomial in n, run only from the heads
-  that an arc from a vertex at or above them re-enters.
+  Vinay's clow-sequence sum: one walk pass for all heads (the vertices
+  an arc from a vertex at or above them re-enters), each in its own bit
+  slot of one int per vertex, under the rotation or reflection of the
+  labels with the fewest heads.
   :func:`enumerate_ldsgs` lists the subgraphs themselves, one by one.
 
 The two routes share no arithmetic, only the successor table ``d.rows``,
 so their agreement is a real cross-check and is treated as a hard
 assertion by the verification pipeline.  Both run whenever asked;
 :func:`resolve_enumeration_cap` is only the verification pipeline's
-choice of which rows get the second route.
+choice of which rows get the second route, by default every row of the
+default tables (n <= 20).
 
 The minimal polynomial comes from Krylov sequences in two tiers.  The
 first works mod 2 on bitmasks, from e_1 and then up to n seeded 0/1
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 from .digraph import Digraph
 from .polynomial import MINPOLY_PRIME, ExactnessCheckFailed, IntPolynomial
 
-DEFAULT_ENUMERATION_CAP = 12
+DEFAULT_ENUMERATION_CAP = 20
 CAP_ENV_VAR = "DIGRAPH_SPECTRA_CAP"
 
 
@@ -263,45 +265,93 @@ def charpoly_ldsg(d: Digraph) -> IntPolynomial:
     multiplicities.  The sequences that are not sets of disjoint cycles
     cancel in pairs, so the sum over sequences of total length i is the
     ldsg coefficient.  Heads are independent, so the sum is the product
-    over h of (1 - sum_l clows_h[l] t^l) truncated at degree n, where
-    clows_h[l] is the weight of the length-l clows with head h: walks
-    are pushed through ``d.rows``, O(n^2 * arcs) integer work in all, and
-    no arithmetic is shared with the trace recursion.  No size limit.
-
-    A clow with head h ends on an arc u -> h with u >= h (u = h for a
-    loop), so a head that no arc from a vertex >= h re-enters has no
-    clow and the factor 1; the largest tail of an arc into each vertex,
-    taken once from the successor table, skips such heads without a
-    walk.  On a cycle with a few added arcs most heads are skipped.
+    over h of (1 - sum_l clows_h[l] t^l) truncated at degree n, with
+    clows_h[l] the weight of the length-l clows with head h from
+    :func:`_clows`.  A clow ends on an arc u -> h with u >= h (u = h for
+    a loop), so only such re-entered vertices are heads.  Relabelling
+    leaves det(xI - A) unchanged, so the labels are those of
+    :func:`_fewest_heads`.  No size limit.
     """
     n = d.n
-    rows = d.rows
-    top = [-1] * n  # top[h]: the largest tail of an arc into h
-    for u, row in enumerate(rows):
-        for v, _ in row:
-            top[v] = u
-    coeffs = [1] + [0] * n  # coeffs[i]: coefficient of x^(n-i)
-    for h in range(n):
-        if top[h] < h:
-            continue
-        clows = [0] * (n + 1)
-        walks = {h: 1}  # end vertex -> weight of walks from h through vertices > h
-        for length in range(1, n + 1):
-            step: dict[int, int] = {}
-            for u, w in walks.items():
-                for v, mult in rows[u]:
-                    if v == h:
-                        clows[length] += w * mult
-                    elif v > h:
-                        step[v] = step.get(v, 0) + w * mult
-            if not step:
-                break
-            walks = step
+    by_head = _clows(n, *_fewest_heads(d.rows)) or [[0] * (n + 1)]
+    coeffs = [1] + [-c for c in by_head[0][1:]]  # coeffs[i]: coefficient of x^(n-i)
+    for clows in by_head[1:]:
         lengths = [length for length in range(1, n + 1) if clows[length]]
         for i in range(n, 0, -1):  # multiply by 1 - clows(t), high degrees first
             coeffs[i] -= sum([clows[k] * coeffs[i - k] for k in lengths if k <= i])
     coeffs.reverse()
     return IntPolynomial(coeffs)
+
+
+def _fewest_heads(rows) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """The arcs (u, v, multiplicity) and their heads, in order, under
+    the rotation or reflection of the labels, anchored at the first
+    vertex of largest out-degree or at the vertex after it, with the
+    fewest heads; the given labels when they have at most two heads or
+    none of these has fewer."""
+    n = len(rows)
+    arcs = given = [(u, v, w) for u, row in enumerate(rows) for v, w in row]
+    heads = {v for u, v, _ in arcs if u >= v}
+    if len(heads) > 2:
+        a = max(range(n), key=lambda v: len(rows[v]))
+        for c, sign in [(a, 1), (a, -1), (a + 1, 1), (a + 1, -1)]:
+            label = [sign * (v - c) % n for v in range(n)]
+            found = {label[v] for u, v, _ in given if label[u] >= label[v]}
+            if len(found) < len(heads):
+                heads, arcs = found, [(label[u], label[v], w) for u, v, w in given]
+    return arcs, sorted(heads)
+
+
+def _clows(n: int, arcs: list[tuple[int, int, int]], heads: list[int]) -> list[list[int]]:
+    """clows_h[0..n] for each head h, in order, from one walk pass.
+
+    Slot i (s bits) of P[u] is the weight of the walks from the i-th
+    head to u through vertices above it, so it is zero unless that head
+    is at most u.  A step sums w * P[u] over the arcs u -> v (or, when v
+    has more predecessors than non-predecessors, subtracts the
+    non-predecessors' P[u] from the total).  Only a head v can receive
+    slots at or above its own: its own slot of the sum is v's clows of
+    that length, and the sum keeps the slots of the heads below v.  A
+    slot of a length-l sum is at most R^l, R the largest weighted
+    out-degree, and never negative, so for l <= n the slots of
+    bit_length(R^n) + 1 bits never carry into each other."""
+    preds: list[list[int]] = [[] for _ in range(n)]
+    degrees = [0] * n
+    for u, v, w in arcs:
+        preds[v].append(u)
+        degrees[u] += w
+    excess = [(v, u, w - 1) for u, v, w in arcs if w > 1]
+    s = (max(degrees) ** n).bit_length() + 1
+    field = (1 << s) - 1
+    first = [us[0] if us else n for us in preds] + [n]  # P[n] = 0, P[n + 1] the total
+    more, fewer = [], []  # (v, u): P[u] added to or subtracted from v's sum
+    for v, us in enumerate(preds):
+        if 2 * len(us) > n:
+            first[v] = n + 1
+            fewer += [(v, u) for u in set(range(n)).difference(us)]
+        else:
+            more += [(v, u) for u in us[1:]]
+    dense = n + 1 in first
+    start = {h: 1 << (i * s) for i, h in enumerate(heads)}
+    walks = [start.get(v, 0) for v in range(n + 1)]
+    clows = [[0] * (n + 1) for _ in heads]
+    closing = [(v, i * s, (1 << (i * s)) - 1, clows[i]) for i, v in enumerate(heads)]
+    for length in range(1, n + 1):
+        if dense:
+            walks.append(sum(walks))
+        arrival = [walks[u] for u in first]
+        for v, u in more:
+            arrival[v] += walks[u]
+        for v, u in fewer:
+            arrival[v] -= walks[u]
+        for v, u, w in excess:
+            arrival[v] += w * walks[u]
+        for v, shift, below, counts in closing:
+            x = arrival[v]
+            counts[length] = (x >> shift) & field
+            arrival[v] = x & below
+        walks = arrival
+    return clows
 
 
 # -- minimal polynomial -----------------------------------------------

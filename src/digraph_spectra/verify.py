@@ -2,13 +2,13 @@
 
 A report row rebuilds one family instance, recomputes its invariants
 (characteristic polynomial by the trace recursion, and by the clow
-route too when n is at most :func:`resolve_enumeration_cap`, closed
-form, minimal polynomial, squarefree and irreducibility checks,
-primitivity and exponent), and records agreement flags.  Disagreement
-between the two characteristic-polynomial routes is a hard failure; a
-closed-form mismatch is ordinary report material.  Instances whose
-parameters are degenerate at a given n become skip rows with the reason
-string.
+route too when n is at most :func:`resolve_enumeration_cap`, by default
+on every default-table row; closed form, minimal polynomial, squarefree
+and irreducibility checks, primitivity and exponent), and records
+agreement flags.  Disagreement between the two characteristic-polynomial
+routes is a hard failure; a closed-form mismatch is ordinary report
+material.  Instances whose parameters are degenerate at a given n become
+skip rows with the reason string.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def build_row(table: str, spec: FamilySpec) -> ReportRow:
         row.closed_form = str(closed)
         row.charpoly_match = closed == psi
     if deep:
-        row.min_poly = str(mp)
+        row.min_poly = row.computed_charpoly if mp is psi else str(mp)
         row.min_poly_degree = mp.degree
         row.non_derogatory = mp.degree == graph.n
         if psi.degree >= 1:

@@ -12,7 +12,8 @@ Core claims:
       subcommand does not offer, a leftover --cap) return 1 from main
       with one error line, not argparse's exit 2; --help exits 0
     - charpoly runs every route it is asked for at any n; only verify
-      rows above DIGRAPH_SPECTRA_CAP (default 12) skip the second route
+      rows above DIGRAPH_SPECTRA_CAP (default 20, the largest n of the
+      default tables) skip the second route
     - charpoly --method=all on a Complement spec reports a null closed
       form; --method=closed-form on it exits 1 with one error line
     - a route disagreement exits 2 and names the first differing

@@ -8,10 +8,17 @@ Core claims:
       with the shared product A v and walk push patched to raise
     - the clow-sequence route reproduces the term sum of the listed
       covers (loop multiplicities, sinks, and sparse digraphs where most
-      heads have no re-entering arc and are skipped, many re-entered by
-      their own loop alone), and the trace recursion on
-      every default-table row above the default cap, on the 126 exponents
-      rows at n = 21..32 and on DCc at n=24
+      vertices are not re-entered and so are no heads, many re-entered by
+      their own loop alone), and the trace recursion on every
+      default-table row with n = 13..20, on the 126 exponents rows at
+      n = 21..32 and on DCc at n=24
+    - its one walk pass, every head in its own bit slot, matches the
+      trace recursion on 300 seeded digraphs with n <= 12, loops of
+      multiplicity 1..4 and densities up to complete, more than 50 of
+      them relabelled to fewer heads, and on the complete digraph with
+      loops of multiplicity 3 at n = 8; the default cap is the largest
+      n of the default tables, so every default-table row gets both
+      routes
     - the packed-row trace recursion matches a matrix-product reference on
       seeded random digraphs with sinks, dense rows, mixed rows and loop
       multiplicities up to 2^62 + 1, on the complete digraph with m
@@ -220,7 +227,12 @@ class TestCharpolyRoutes:
         monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "5")
         assert resolve_enumeration_cap() == 5
         monkeypatch.delenv("DIGRAPH_SPECTRA_CAP")
-        assert resolve_enumeration_cap() == 12
+        assert resolve_enumeration_cap() == 20
+
+    def test_default_cap_covers_the_default_tables(self):
+        """Every default-table row gets both routes: a wider default
+        table cannot silently lose its second route."""
+        assert spectra.DEFAULT_ENUMERATION_CAP == max(hi for _, hi in DEFAULT_RANGES.values())
 
     def test_nonpositive_cap_rejected(self, monkeypatch):
         monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "-1")
@@ -229,6 +241,24 @@ class TestCharpolyRoutes:
         monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "abc")
         with pytest.raises(ValueError, match="DIGRAPH_SPECTRA_CAP must be an integer"):
             resolve_enumeration_cap()
+
+    def test_packed_clow_route_on_seeded_loop_digraphs(self):
+        """The one walk pass over all heads against the trace recursion
+        on 300 seeded digraphs with n <= 12, loops of multiplicity 1..4
+        and densities up to complete, so that many of them are
+        relabelled, and on the complete digraph with loops of
+        multiplicity 3 at n = 8, whose walks fill the slots most."""
+        rng = random.Random(2323)
+        relabelled = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            d = _random_loop_digraph(rng, n, rng.choice([0.1, 0.3, 0.6, 0.9, 1.0]))
+            given = {v for u, row in enumerate(d.rows) for v, _ in row if u >= v}
+            relabelled += len(spectra._fewest_heads(d.rows)[1]) < len(given)
+            assert charpoly_ldsg(d) == charpoly_exact(d), d.arcs
+        assert relabelled > 50
+        d = _complete_with_loops(8, 3)
+        assert charpoly_ldsg(d) == charpoly_exact(d)
 
     def test_clow_route_on_default_rows_above_the_cap(self):
         """Every default-table row with n = 13..20, which the subset
@@ -261,8 +291,8 @@ class TestCharpolyRoutes:
 
 
     def test_trace_recursion_matches_sympy_above_the_cap(self):
-        """Rows above the default cap get no second route in a default
-        verify run; sympy's charpoly checks the trace recursion there."""
+        """sympy's charpoly checks the trace recursion on a sample of the
+        rows with n = 13..20, a third route besides the clow route."""
         sp = pytest.importorskip("sympy")
         specs = [
             spec

@@ -182,8 +182,8 @@ def default_report():
 # sha256 of the default report in each format: a change to any default
 # row's content or to a serializer shows here
 DEFAULT_REPORT_SHA256 = {
-    "json": "6f85cc76b9395eab9531a5beb8046659e0425dcd4dba9aa60c6c595bedbe8860",
-    "csv": "2a268c55727267015d6d722df07e97c8e2094e3a7adae3b9a075a04d218d4a77",
+    "json": "3c0471f4c13fea85c3a7e8e5202addab6ebc855dd166907243b6b2fd155eae42",
+    "csv": "bac907f676da01386ac4f3227dba8986f228e7c4892b4f89abe57b0ebeb3cbb0",
     "md": "c63f8df065e356556c1f4f093baad503cb2812f49cb22d7164d2e0c3c49f1bef",
     "text": "3e064faa7f1dde55c4fa1e15c8cc64414b44c72dd8eaaa416d577768c0bb4ce3",
 }
