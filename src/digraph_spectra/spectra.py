@@ -23,8 +23,8 @@ The two routes share no arithmetic, only the successor table ``d.rows``,
 so their agreement is a real cross-check and is treated as a hard
 assertion by the verification pipeline.  Both run whenever asked;
 :func:`resolve_enumeration_cap` is only the verification pipeline's
-choice of which rows get the second route, by default every row of the
-default tables (n <= 20).
+choice of which rows get the second route; its default there is the
+largest n of the default tables, so every default-table row gets both.
 
 The minimal polynomial comes from Krylov sequences in two tiers.  The
 first works mod 2 on bitmasks, from e_1 and then up to n seeded 0/1
@@ -60,7 +60,6 @@ from dataclasses import dataclass
 from .digraph import Digraph
 from .polynomial import MINPOLY_PRIME, ExactnessCheckFailed, IntPolynomial
 
-DEFAULT_ENUMERATION_CAP = 20
 CAP_ENV_VAR = "DIGRAPH_SPECTRA_CAP"
 
 
@@ -68,15 +67,15 @@ class TooLargeForSearch(ValueError):
     """Vertex count exceeds the certificate search bound."""
 
 
-def resolve_enumeration_cap() -> int:
+def resolve_enumeration_cap(default: int) -> int:
     """The largest n whose verification rows get the second route:
-    ``DIGRAPH_SPECTRA_CAP`` if set, else the default.
+    ``DIGRAPH_SPECTRA_CAP`` if set, else ``default``.
 
     A cap below 1 is rejected: it would silently switch the second
     route off for every row."""
     env = os.environ.get(CAP_ENV_VAR)
     if not env:
-        return DEFAULT_ENUMERATION_CAP
+        return default
     try:
         cap = int(env)
     except ValueError:
@@ -307,14 +306,12 @@ def _clows(n: int, arcs: list[tuple[int, int, int]], heads: list[int]) -> list[l
 
     Slot i (s bits) of P[u] is the weight of the walks from the i-th
     head to u through vertices above it, so it is zero unless that head
-    is at most u.  A step sums w * P[u] over the arcs u -> v (or, when v
-    has more predecessors than non-predecessors, subtracts the
-    non-predecessors' P[u] from the total).  Only a head v can receive
-    slots at or above its own: its own slot of the sum is v's clows of
-    that length, and the sum keeps the slots of the heads below v.  A
-    slot of a length-l sum is at most R^l, R the largest weighted
-    out-degree, and never negative, so for l <= n the slots of
-    bit_length(R^n) + 1 bits never carry into each other."""
+    is at most u.  A step sums w * P[u] over the arcs u -> v.  Only a
+    head v can receive slots at or above its own: its own slot of the
+    sum is v's clows of that length, and the sum keeps the slots of the
+    heads below v.  A slot of a length-l sum is at most R^l, R the
+    largest weighted out-degree, and never negative, so for l <= n the
+    slots of bit_length(R^n) + 1 bits never carry into each other."""
     preds: list[list[int]] = [[] for _ in range(n)]
     degrees = [0] * n
     for u, v, w in arcs:
@@ -323,27 +320,16 @@ def _clows(n: int, arcs: list[tuple[int, int, int]], heads: list[int]) -> list[l
     excess = [(v, u, w - 1) for u, v, w in arcs if w > 1]
     s = (max(degrees) ** n).bit_length() + 1
     field = (1 << s) - 1
-    first = [us[0] if us else n for us in preds] + [n]  # P[n] = 0, P[n + 1] the total
-    more, fewer = [], []  # (v, u): P[u] added to or subtracted from v's sum
-    for v, us in enumerate(preds):
-        if 2 * len(us) > n:
-            first[v] = n + 1
-            fewer += [(v, u) for u in set(range(n)).difference(us)]
-        else:
-            more += [(v, u) for u in us[1:]]
-    dense = n + 1 in first
+    first = [us[0] if us else n for us in preds] + [n]  # P[n] = 0
+    more = [(v, u) for v, us in enumerate(preds) for u in us[1:]]
     start = {h: 1 << (i * s) for i, h in enumerate(heads)}
     walks = [start.get(v, 0) for v in range(n + 1)]
     clows = [[0] * (n + 1) for _ in heads]
     closing = [(v, i * s, (1 << (i * s)) - 1, clows[i]) for i, v in enumerate(heads)]
     for length in range(1, n + 1):
-        if dense:
-            walks.append(sum(walks))
         arrival = [walks[u] for u in first]
         for v, u in more:
             arrival[v] += walks[u]
-        for v, u in fewer:
-            arrival[v] -= walks[u]
         for v, u, w in excess:
             arrival[v] += w * walks[u]
         for v, shift, below, counts in closing:

@@ -50,6 +50,10 @@ from .spectra import (
     resolve_enumeration_cap,
 )
 
+# every default-table row gets both charpoly routes unless
+# DIGRAPH_SPECTRA_CAP lowers the cap
+DEFAULT_ENUMERATION_CAP = max(hi for _, hi in DEFAULT_RANGES.values())
+
 
 @dataclass(slots=True)
 class ReportRow:
@@ -221,7 +225,7 @@ def build_row(table: str, spec: FamilySpec) -> ReportRow:
     # a degree-n minimal polynomial is the characteristic polynomial
     psi = mp if mp is not None and mp.degree == graph.n else charpoly_exact(graph)
     row.computed_charpoly = str(psi)
-    if graph.n <= resolve_enumeration_cap():
+    if graph.n <= resolve_enumeration_cap(DEFAULT_ENUMERATION_CAP):
         row.ldsg_checked = True
         row.ldsg_agreement = charpoly_ldsg(graph) == psi
     if has_closed_form(spec.family):
@@ -229,7 +233,7 @@ def build_row(table: str, spec: FamilySpec) -> ReportRow:
         row.closed_form = str(closed)
         row.charpoly_match = closed == psi
     if deep:
-        row.min_poly = row.computed_charpoly if mp is psi else str(mp)
+        row.min_poly = str(mp)
         row.min_poly_degree = mp.degree
         row.non_derogatory = mp.degree == graph.n
         if psi.degree >= 1:
@@ -258,7 +262,8 @@ def build_row(table: str, spec: FamilySpec) -> ReportRow:
 def build_report(tables, n_range: tuple[int, int] | None = None) -> VerificationReport:
     """Rows for the requested tables (name list or 'all'); n_range
     overrides each table's default sweep."""
-    resolve_enumeration_cap()  # a bad DIGRAPH_SPECTRA_CAP fails even if no row is built
+    # a bad DIGRAPH_SPECTRA_CAP fails even if no row is built
+    resolve_enumeration_cap(DEFAULT_ENUMERATION_CAP)
     if tables == "all":
         tables = list(TABLE_NAMES)
     elif isinstance(tables, str):

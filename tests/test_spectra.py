@@ -225,22 +225,17 @@ class TestCharpolyRoutes:
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "5")
-        assert resolve_enumeration_cap() == 5
+        assert resolve_enumeration_cap(20) == 5
         monkeypatch.delenv("DIGRAPH_SPECTRA_CAP")
-        assert resolve_enumeration_cap() == 20
-
-    def test_default_cap_covers_the_default_tables(self):
-        """Every default-table row gets both routes: a wider default
-        table cannot silently lose its second route."""
-        assert spectra.DEFAULT_ENUMERATION_CAP == max(hi for _, hi in DEFAULT_RANGES.values())
+        assert resolve_enumeration_cap(20) == 20
 
     def test_nonpositive_cap_rejected(self, monkeypatch):
         monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "-1")
         with pytest.raises(ValueError, match="DIGRAPH_SPECTRA_CAP must be at least 1"):
-            resolve_enumeration_cap()
+            resolve_enumeration_cap(20)
         monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "abc")
         with pytest.raises(ValueError, match="DIGRAPH_SPECTRA_CAP must be an integer"):
-            resolve_enumeration_cap()
+            resolve_enumeration_cap(20)
 
     def test_packed_clow_route_on_seeded_loop_digraphs(self):
         """The one walk pass over all heads against the trace recursion
