@@ -284,17 +284,16 @@ def charpoly_ldsg(d: Digraph) -> IntPolynomial:
 
 def _fewest_heads(rows) -> tuple[list[tuple[int, int, int]], list[int]]:
     """The arcs (u, v, multiplicity) and their heads, in order, under
-    the rotation or reflection of the labels, anchored at the first
-    vertex of largest out-degree or at the vertex after it, with the
-    fewest heads; the given labels when they have at most two heads or
-    none of these has fewer."""
+    the rotation or reflection of the labels anchored at the first
+    vertex of largest out-degree, with the fewer heads; the given labels
+    when they have at most two heads or neither has fewer."""
     n = len(rows)
     arcs = given = [(u, v, w) for u, row in enumerate(rows) for v, w in row]
     heads = {v for u, v, _ in arcs if u >= v}
     if len(heads) > 2:
         a = max(range(n), key=lambda v: len(rows[v]))
-        for c, sign in [(a, 1), (a, -1), (a + 1, 1), (a + 1, -1)]:
-            label = [sign * (v - c) % n for v in range(n)]
+        for sign in (1, -1):
+            label = [sign * (v - a) % n for v in range(n)]
             found = {label[v] for u, v, _ in given if label[u] >= label[v]}
             if len(found) < len(heads):
                 heads, arcs = found, [(label[u], label[v], w) for u, v, w in given]
@@ -654,9 +653,9 @@ class TriangularCertificate:
 def triangular_certificate(
     d: Digraph, max_order: int = 10
 ) -> TriangularCertificate | None:
-    """Search all row/column deletions and stage orders for a triangular
-    witness; None when no such witness exists (inconclusive, not a
-    derogatory verdict)."""
+    """The first row/column deletion whose stage order (forced, see
+    :func:`_stage_search`) makes a triangular witness; None when no
+    deletion has one (inconclusive, not a derogatory verdict)."""
     n = d.n
     if n > max_order:
         raise TooLargeForSearch(
@@ -690,57 +689,32 @@ def _stage_search(
 ) -> list[tuple[int, int]] | None:
     """Order the rows/cols into stages (r, c): A[r][c] != 0, r != c, and
     row r meets every remaining later column only in zeros of xI - A
-    (so A[r][c'] == 0 and r != c' for all of them)."""
-    full_rows = tuple(rows)
-    full_cols = tuple(cols)
-    memo: dict[tuple[int, int], tuple[int, int] | None] = {}
-    rmask = (1 << len(rows)) - 1
-    cmask = (1 << len(cols)) - 1
-    if not _feasible(a, full_rows, full_cols, rmask, cmask, memo):
-        return None
+    (so A[r][c'] == 0 and r != c' for all of them).  Each state takes
+    its first qualifying pair in row-then-column order; None at the
+    first state with none.
+
+    No state has a second one.  A stage row is never a remaining column,
+    and the only remaining row that is not a column is ``removed_col``
+    at first, then the previous stage's column: staging (r, c) drops r
+    from the rows and c from the columns.  So r is forced, and c is its
+    only nonzero remaining column."""
+    rows, cols = list(rows), list(cols)
     order: list[tuple[int, int]] = []
-    while rmask:  # follow the first feasible step stored for each state
-        ri, ci = memo[(rmask, cmask)]
-        order.append((full_rows[ri], full_cols[ci]))
-        rmask &= ~(1 << ri)
-        cmask &= ~(1 << ci)
+    while rows:
+        step = next(
+            (
+                (r, c)
+                for r in rows
+                for c in cols
+                if r != c
+                and a[r - 1][c - 1]
+                and not any(c2 != c and (c2 == r or a[r - 1][c2 - 1]) for c2 in cols)
+            ),
+            None,
+        )
+        if step is None:
+            return None
+        order.append(step)
+        rows.remove(step[0])
+        cols.remove(step[1])
     return order
-
-
-def _feasible(a, full_rows, full_cols, rmask: int, cmask: int, memo: dict) -> bool:
-    """Whether the remaining rows and columns can be staged to the end.
-    ``memo`` maps each state searched to its first feasible step
-    (ri, ci) in row-then-column order, or None when it has none.
-
-    Module level rather than a closure in _stage_search: a closure that
-    calls itself is a reference cycle, which would keep each search's
-    matrix and memo alive until a full garbage collection."""
-    if rmask == 0:
-        return True
-    key = (rmask, cmask)
-    if key in memo:
-        return memo[key] is not None
-    step = None
-    for ri, r in enumerate(full_rows):
-        if not (rmask >> ri) & 1:
-            continue
-        for ci, c in enumerate(full_cols):
-            if not (cmask >> ci) & 1:
-                continue
-            if r == c or a[r - 1][c - 1] == 0:
-                continue
-            rest_ok = True
-            for cj, c2 in enumerate(full_cols):
-                if cj != ci and (cmask >> cj) & 1:
-                    if c2 == r or a[r - 1][c2 - 1] != 0:
-                        rest_ok = False
-                        break
-            if rest_ok and _feasible(
-                a, full_rows, full_cols, rmask & ~(1 << ri), cmask & ~(1 << ci), memo
-            ):
-                step = (ri, ci)
-                break
-        if step is not None:
-            break
-    memo[key] = step
-    return step is not None

@@ -165,7 +165,7 @@ class TestCharpoly:
         rc, out, _ = run_cli("charpoly", f"--file={path}", "--method=exact")
         assert rc == 0 and "x^4 - 1" in out
 
-    def test_all_routes_above_the_verify_cap(self):
+    def test_all_routes_at_the_verify_cap(self):
         rc, out, err = run_cli("charpoly", "family=DCc", "n=20", "--method=all")
         assert rc == 0 and err == ""
         lines = out.splitlines()

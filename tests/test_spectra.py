@@ -81,7 +81,8 @@ Core claims:
     - a triangular certificate, when found, is sound by direct check
       and always implies non-derogatory; absence implies nothing
     - the certificate search reports the first staging in search order,
-      as a plain depth-first search without memo finds it
+      as a plain depth-first search finds it, and every state its loop
+      reaches has at most one qualifying stage
 """
 
 import itertools
@@ -255,7 +256,7 @@ class TestCharpolyRoutes:
         d = _complete_with_loops(8, 3)
         assert charpoly_ldsg(d) == charpoly_exact(d)
 
-    def test_clow_route_on_default_rows_above_the_cap(self):
+    def test_clow_route_on_default_rows_from_n13(self):
         """Every default-table row with n = 13..20, which the subset
         convolution this route replaced could not reach."""
         checked = 0
@@ -285,7 +286,7 @@ class TestCharpolyRoutes:
         assert charpoly_ldsg(d) == charpoly_exact(d)
 
 
-    def test_trace_recursion_matches_sympy_above_the_cap(self):
+    def test_trace_recursion_matches_sympy_from_n13(self):
         """sympy's charpoly checks the trace recursion on a sample of the
         rows with n = 13..20, a third route besides the clow route."""
         sp = pytest.importorskip("sympy")
@@ -1451,10 +1452,10 @@ class TestTriangularCertificate:
             assert is_non_derogatory(graph), spec.to_text()
         assert found > 20
 
-    def test_stage_order_follows_the_stored_first_steps(self):
-        """The memo's stored steps, followed from the full state, give
-        exactly the first staging in search order: a skipped or
-        reordered step changes the order or its length."""
+    def test_stage_order_is_the_first_staging_in_search_order(self):
+        """The loop's steps, taken from the full state, give exactly the
+        first staging in search order: a skipped or reordered step
+        changes the order or its length."""
         rng = random.Random(20260)
         feasible = 0
         for _ in range(100):
@@ -1469,6 +1470,51 @@ class TestTriangularCertificate:
                 assert spectra._stage_search(a, rows, cols) == want, (a, rows, cols)
                 feasible += want is not None and len(want) > 1
         assert feasible > 50
+
+    def test_every_reached_state_has_at_most_one_stage(self):
+        """The uniqueness argument of the staging loop, checked directly
+        on 2000 seeded digraphs with n <= 8, loops of multiplicity 1..3
+        and densities up to complete, half of them on a Hamiltonian path
+        so that many deletions stage: every state the loop reaches has
+        at most one qualifying (r, c) pair, so its first pair is the
+        depth-first search's only choice, and both find the same
+        staging."""
+        rng = random.Random(2525)
+        staged = 0
+        for k in range(2000):
+            n = rng.randint(2, 8)
+            p = rng.choice([0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0])
+            arcs = {
+                (i, j): rng.randint(1, 3) if i == j else 1
+                for i in range(1, n + 1)
+                for j in range(1, n + 1)
+                if rng.random() < p or (k % 2 and j == i + 1)
+            }
+            a = build_digraph(n, [(i, j, w) for (i, j), w in arcs.items()]).adjacency_matrix()
+            for removed_row, removed_col in itertools.permutations(range(1, n + 1), 2):
+                rows = [v for v in range(1, n + 1) if v != removed_row]
+                cols = [v for v in range(1, n + 1) if v != removed_col]
+                got = spectra._stage_search(a, rows, cols)
+                assert got == _first_staging(a, rows, cols), (a, rows, cols)
+                walk = []
+                while rows:
+                    stages = [
+                        (r, c)
+                        for r in rows
+                        for c in cols
+                        if r != c
+                        and a[r - 1][c - 1]
+                        and not any(c2 != c and (c2 == r or a[r - 1][c2 - 1]) for c2 in cols)
+                    ]
+                    assert len(stages) <= 1, (a, rows, cols, stages)
+                    if not stages:
+                        break
+                    walk += stages
+                    rows = [x for x in rows if x != stages[0][0]]
+                    cols = [x for x in cols if x != stages[0][1]]
+                assert got == (None if rows else walk), (a, removed_row, removed_col)
+                staged += got is not None and len(got) > 2
+        assert staged > 200
 
     def test_certificates_match_the_reference_search(self):
         for spec, graph in _family_sweep(8):
