@@ -653,8 +653,8 @@ class TriangularCertificate:
 def triangular_certificate(
     d: Digraph, max_order: int = 10
 ) -> TriangularCertificate | None:
-    """The first row/column deletion whose stage order (forced, see
-    :func:`_stage_search`) makes a triangular witness; None when no
+    """The witness of the first row/column deletion whose stage order
+    (forced, see :func:`_stage_search`) reaches the end; None when no
     deletion has one (inconclusive, not a derogatory verdict)."""
     n = d.n
     if n > max_order:

@@ -1474,8 +1474,8 @@ class TestTriangularCertificate:
     def test_every_reached_state_has_at_most_one_stage(self):
         """The uniqueness argument of the staging loop, checked directly
         on 2000 seeded digraphs with n <= 8, loops of multiplicity 1..3
-        and densities up to complete, half of them on a Hamiltonian path
-        so that many deletions stage: every state the loop reaches has
+        and densities up to complete, half of them containing the path
+        1 -> 2 -> ... -> n so that many deletions stage: every state the loop reaches has
         at most one qualifying (r, c) pair, so its first pair is the
         depth-first search's only choice, and both find the same
         staging."""
@@ -1484,13 +1484,13 @@ class TestTriangularCertificate:
         for k in range(2000):
             n = rng.randint(2, 8)
             p = rng.choice([0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0])
-            arcs = {
-                (i, j): rng.randint(1, 3) if i == j else 1
+            arcs = [
+                (i, j, rng.randint(1, 3) if i == j else 1)
                 for i in range(1, n + 1)
                 for j in range(1, n + 1)
                 if rng.random() < p or (k % 2 and j == i + 1)
-            }
-            a = build_digraph(n, [(i, j, w) for (i, j), w in arcs.items()]).adjacency_matrix()
+            ]
+            a = build_digraph(n, arcs).adjacency_matrix()
             for removed_row, removed_col in itertools.permutations(range(1, n + 1), 2):
                 rows = [v for v in range(1, n + 1) if v != removed_row]
                 cols = [v for v in range(1, n + 1) if v != removed_col]
