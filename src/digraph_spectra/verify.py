@@ -2,13 +2,13 @@
 
 A report row rebuilds one family instance, recomputes its invariants
 (characteristic polynomial by the trace recursion, and by the clow
-route too when n is at most :func:`resolve_enumeration_cap`, by default
-on every default-table row; closed form, minimal polynomial, squarefree
-and irreducibility checks, primitivity and exponent), and records
-agreement flags.  Disagreement between the two characteristic-polynomial
-routes is a hard failure; a closed-form mismatch is ordinary report
-material.  Instances whose parameters are degenerate at a given n become
-skip rows with the reason string.
+route too when n is at most the ``DIGRAPH_SPECTRA_CAP`` environment
+variable, by default on every default-table row; closed form, minimal
+polynomial, squarefree and irreducibility checks, primitivity and
+exponent), and records agreement flags.  Disagreement between the two
+characteristic-polynomial routes is a hard failure; a closed-form
+mismatch is ordinary report material.  Instances whose parameters are
+degenerate at a given n become skip rows with the reason string.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, fields
 
 from .digraph import walk_row
@@ -43,16 +44,30 @@ from .polynomial import (
     is_squarefree,
     perron_irreducible,
 )
-from .spectra import (
-    charpoly_exact,
-    charpoly_ldsg,
-    minimal_polynomial,
-    resolve_enumeration_cap,
-)
+from .spectra import charpoly_exact, charpoly_ldsg, minimal_polynomial
 
+CAP_ENV_VAR = "DIGRAPH_SPECTRA_CAP"
 # every default-table row gets both charpoly routes unless
 # DIGRAPH_SPECTRA_CAP lowers the cap
 DEFAULT_ENUMERATION_CAP = max(hi for _, hi in DEFAULT_RANGES.values())
+
+
+def resolve_enumeration_cap() -> int:
+    """The largest n whose rows get the second route:
+    ``DIGRAPH_SPECTRA_CAP`` if set, else ``DEFAULT_ENUMERATION_CAP``.
+
+    A cap below 1 is rejected: it would silently switch the second
+    route off for every row."""
+    env = os.environ.get(CAP_ENV_VAR)
+    if not env:
+        return DEFAULT_ENUMERATION_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}")
+    if cap < 1:
+        raise ValueError(f"{CAP_ENV_VAR} must be at least 1, got {cap}")
+    return cap
 
 
 @dataclass(slots=True)
@@ -163,8 +178,7 @@ class VerificationReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        fields = list(ReportRow("", "", "", 0).to_dict())
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=_ROW_FIELDS, lineterminator="\n")
         writer.writeheader()
         for r in self.rows:
             d = r.to_dict()
@@ -225,7 +239,7 @@ def build_row(table: str, spec: FamilySpec) -> ReportRow:
     # a degree-n minimal polynomial is the characteristic polynomial
     psi = mp if mp is not None and mp.degree == graph.n else charpoly_exact(graph)
     row.computed_charpoly = str(psi)
-    if graph.n <= resolve_enumeration_cap(DEFAULT_ENUMERATION_CAP):
+    if graph.n <= resolve_enumeration_cap():
         row.ldsg_checked = True
         row.ldsg_agreement = charpoly_ldsg(graph) == psi
     if has_closed_form(spec.family):
@@ -263,7 +277,7 @@ def build_report(tables, n_range: tuple[int, int] | None = None) -> Verification
     """Rows for the requested tables (name list or 'all'); n_range
     overrides each table's default sweep."""
     # a bad DIGRAPH_SPECTRA_CAP fails even if no row is built
-    resolve_enumeration_cap(DEFAULT_ENUMERATION_CAP)
+    resolve_enumeration_cap()
     if tables == "all":
         tables = list(TABLE_NAMES)
     elif isinstance(tables, str):

@@ -12,8 +12,10 @@ Core claims:
       subcommand does not offer, a leftover --cap) return 1 from main
       with one error line, not argparse's exit 2; --help exits 0
     - charpoly runs every route it is asked for at any n; only verify
-      rows above DIGRAPH_SPECTRA_CAP (default 20, the largest n of the
-      default tables) skip the second route
+      rows above DIGRAPH_SPECTRA_CAP (read by verify; default 20, the
+      largest n of the default tables) skip the second route
+    - nonderogatory searches a triangular certificate up to n = 10 and
+      reports certificate_searched false with a null certificate above
     - charpoly --method=all on a Complement spec reports a null closed
       form; --method=closed-form on it exits 1 with one error line
     - a route disagreement exits 2 and names the first differing
@@ -291,6 +293,18 @@ class TestAnalysis:
         doc = json.loads(out)
         assert doc["non_derogatory"] is True
         assert doc["certificate"] is not None
+
+    def test_nonderogatory_searches_only_up_to_n_10(self):
+        rc, out, _ = run_cli("nonderogatory", "family=DCn", "n=10", "--format=json")
+        doc = json.loads(out)
+        assert rc == 0
+        assert doc["certificate_searched"] is True and doc["certificate"] is not None
+        rc, out, _ = run_cli("nonderogatory", "family=DCn", "n=11", "--format=json")
+        assert rc == 0
+        assert '"certificate":null' in out and '"certificate_searched":false' in out
+        rc, out, _ = run_cli("nonderogatory", "family=DCn", "n=11")
+        assert rc == 0
+        assert "certificate_searched: False\n" in out and "certificate: None\n" in out
 
 
 # -- process-level smoke ----------------------------------------------

@@ -28,9 +28,8 @@ Core claims:
       rounded-up 2-norm of row v, and the code's slot width s has
       2n prod_v (1 + rho_v) < 2^(s-2); 8-bit slots are caught, by an
       explicit ExactnessCheckFailed that also fires under python -O
-    - the clow route runs at any n; DIGRAPH_SPECTRA_CAP, which only
-      chooses the verify rows that get it, must be an integer of at
-      least 1 rather than switching the route off
+    - the clow route runs at any n; only verify's DIGRAPH_SPECTRA_CAP
+      chooses which report rows get it
     - enumerate_ldsgs lists each cycle cover exactly once with the
       stated component counts, and the signed aggregation of the listed
       covers reproduces every coefficient
@@ -99,7 +98,6 @@ from digraph_spectra import (
     FamilySpec,
     InvalidParameter,
     IntPolynomial,
-    TooLargeForSearch,
     build_digraph,
     build_family,
     charpoly_exact,
@@ -114,7 +112,6 @@ from digraph_spectra import (
 )
 from digraph_spectra.families import DEFAULT_RANGES, TABLE_NAMES
 from digraph_spectra import spectra
-from digraph_spectra.spectra import resolve_enumeration_cap
 
 from conftest import mat_mul, run_python
 
@@ -223,20 +220,6 @@ class TestCharpolyRoutes:
             d = _random_digraph(rng, rng.randint(1, 6))
             psi = charpoly_exact(d)
             assert psi.is_monic and psi.degree == d.n
-
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "5")
-        assert resolve_enumeration_cap(20) == 5
-        monkeypatch.delenv("DIGRAPH_SPECTRA_CAP")
-        assert resolve_enumeration_cap(20) == 20
-
-    def test_nonpositive_cap_rejected(self, monkeypatch):
-        monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "-1")
-        with pytest.raises(ValueError, match="DIGRAPH_SPECTRA_CAP must be at least 1"):
-            resolve_enumeration_cap(20)
-        monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "abc")
-        with pytest.raises(ValueError, match="DIGRAPH_SPECTRA_CAP must be an integer"):
-            resolve_enumeration_cap(20)
 
     def test_packed_clow_route_on_seeded_loop_digraphs(self):
         """The one walk pass over all heads against the trace recursion
@@ -1432,12 +1415,18 @@ class TestTriangularCertificate:
         assert triangular_certificate(build_family(FamilySpec("UDWc", 9))) is None
 
     def test_search_bound(self):
-        with pytest.raises(TooLargeForSearch):
-            triangular_certificate(build_family(FamilySpec("DCn", 12)), max_order=10)
-        cert = triangular_certificate(build_family(FamilySpec("DCn", 12)), max_order=12)
-        assert cert is not None and _certificate_is_sound(
-            build_family(FamilySpec("DCn", 12)), cert
-        )
+        """No size limit: above the CLI's n <= 10 the search still
+        returns the reference search's first witness, or None."""
+        found = []
+        for family in ("DCn", "kDW", "PDF", "DCc"):
+            graph = build_family(FamilySpec(family, 12))
+            cert = triangular_certificate(graph)
+            got = cert and (
+                cert.removed_row, cert.removed_col, list(cert.row_order), list(cert.col_order)
+            )
+            assert got == _reference_certificate(graph), family
+            found.append(cert is not None)
+        assert found == [True, True, True, False]
 
     def test_certificates_on_sweep_are_sound_and_imply_non_derogatory(self):
         found = 0

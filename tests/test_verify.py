@@ -13,6 +13,9 @@ Core claims:
       with its lists copied
     - build_report("all") is pinned byte for byte in all four formats
       by sha256 digests
+    - DIGRAPH_SPECTRA_CAP, read by verify alone, chooses the rows that
+      get the clow route; it must be an integer of at least 1 rather
+      than switching the route off
     - build_row runs the trace recursion once per row: a degree-n
       minimal polynomial is taken as the characteristic polynomial; a
       row with a start vector cyclic mod 2 never reaches the mod-P
@@ -171,11 +174,27 @@ class TestReportFormats:
         assert "SKIP" in text
 
 
+class TestEnumerationCap:
+    def test_cap_env_override(self, monkeypatch):
+        monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "5")
+        assert verify.resolve_enumeration_cap() == 5
+        monkeypatch.delenv("DIGRAPH_SPECTRA_CAP")
+        assert verify.resolve_enumeration_cap() == 20
+
+    def test_nonpositive_cap_rejected(self, monkeypatch):
+        monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "-1")
+        with pytest.raises(ValueError, match="DIGRAPH_SPECTRA_CAP must be at least 1"):
+            verify.resolve_enumeration_cap()
+        monkeypatch.setenv("DIGRAPH_SPECTRA_CAP", "abc")
+        with pytest.raises(ValueError, match="DIGRAPH_SPECTRA_CAP must be an integer"):
+            verify.resolve_enumeration_cap()
+
+
 @pytest.fixture(scope="module")
 def default_report():
     """build_report("all") once, at the default enumeration cap."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.delenv(spectra.CAP_ENV_VAR, raising=False)
+        patch.delenv(verify.CAP_ENV_VAR, raising=False)
         return build_report("all")
 
 
